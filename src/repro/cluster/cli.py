@@ -40,7 +40,7 @@ import asyncio
 import os
 import sys
 
-from repro.serve.cli import _parse_endpoint
+from repro.experiments.base import parse_endpoint
 
 __all__ = ["main", "run_cachenet_selftest"]
 
@@ -586,7 +586,7 @@ def main(argv: list[str] | None = None) -> int:
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
         "--tcp",
-        type=_parse_endpoint,
+        type=parse_endpoint,
         metavar="HOST:PORT",
         help="serve the public protocol on HOST:PORT (port 0 = ephemeral)",
     )
@@ -622,7 +622,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--connect",
-        type=_parse_endpoint,
+        type=parse_endpoint,
         action="append",
         default=[],
         metavar="HOST:PORT",

@@ -9,7 +9,6 @@ from repro.core.accelerator import (
 from repro.core.dispatcher import DispatchStep, Dispatcher
 from repro.core.kernels import (
     batched_drain_cycles,
-    drain_backend,
     pack_bit_planes,
     pack_drain_masks,
     packed_essential_terms,
@@ -65,7 +64,6 @@ __all__ = [
     "pack_drain_masks",
     "pack_bit_planes",
     "packed_essential_terms",
-    "drain_backend",
     "ProgressToken",
     "SweepCancelled",
     "sweep_network",

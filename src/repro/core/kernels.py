@@ -13,7 +13,9 @@ a packed formulation that the whole batch shares:
   and *all* drain groups of a layer at once.  Signed-term encodings
   (:mod:`repro.numerics.encodings`) that use positions above 15 — CSD and
   HESE reach position 16 — pack into ``uint32`` masks and take the same fast
-  path; the lookup tables stay 16-bit and wide masks are split into halves.
+  path.
+* **One bit primitive.**  Popcounts, lowest and highest set bits all come from
+  ``np.bitwise_count``, at either mask width.
 * **Closed-form fast path.**  A column whose set bits all fit inside one
   first-stage window (``highest - lowest < reach``) never stalls: it finishes
   in exactly its busiest lane's popcount.  This generalizes the full-reach
@@ -33,16 +35,9 @@ The results are **bit-identical** to the reference scheduler — the golden
 suite (``tests/test_core_kernels.py``) proves it against both
 ``_reference_drain_cycles`` and :class:`~repro.core.accelerator.PragmaticAccelerator`,
 and ``docs/runtime.md`` documents the guarantee.
-
-An optional compiled backend for the frontier loop can be selected with
-``REPRO_DRAIN_BACKEND=numba``; when numba is not installed (or fails to
-compile) the kernel silently falls back to the numpy loop, and both backends
-produce identical cycle counts.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -52,86 +47,34 @@ __all__ = [
     "pack_bit_planes",
     "batched_drain_cycles",
     "packed_essential_terms",
-    "drain_backend",
 ]
 
 #: Widest bit position the packed representation holds (``uint32`` masks for
 #: signed-term planes; plain positional packing stays ``uint16``).
 KERNEL_MAX_POSITIONS = 32
 
-#: Width of the lookup tables (wider masks are split into 16-bit halves).
-_TABLE_POSITIONS = 16
-
-#: Sentinel head value of an empty ``uint16`` lane (no outstanding oneffsets).
-_EMPTY_HEAD = _TABLE_POSITIONS
-
-#: Environment variable selecting the frontier-loop backend.
-_BACKEND_ENV = "REPRO_DRAIN_BACKEND"
-
-# Lazily-built lookup tables over all 2**16 masks: trailing-zero position
-# (lowest set bit; 16 for mask 0), popcount, and highest set bit (-1 for 0).
-_TZ16: np.ndarray | None = None
-_POP16: np.ndarray | None = None
-_HB16: np.ndarray | None = None
-
-_NUMBA_FRONTIER = None
-_NUMBA_FAILED = False
+#: Widest bit position a ``uint16`` mask holds; wider planes pack into ``uint32``.
+_NARROW_POSITIONS = 16
 
 
-def _tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (trailing-zero, popcount, highest-bit) tables, built once."""
-    global _TZ16, _POP16, _HB16
-    if _TZ16 is None:
-        n = np.arange(1 << _TABLE_POSITIONS, dtype=np.uint32)
-        tz = np.full(n.size, _EMPTY_HEAD, dtype=np.uint8)
-        hb = np.full(n.size, -1, dtype=np.int8)
-        pop = np.zeros(n.size, dtype=np.uint8)
-        for position in range(_TABLE_POSITIONS - 1, -1, -1):
-            set_here = ((n >> position) & 1).astype(bool)
-            tz[set_here] = position
-            pop += set_here
-        for position in range(_TABLE_POSITIONS):
-            hb[((n >> position) & 1).astype(bool)] = position
-        _TZ16, _POP16, _HB16 = tz, pop, hb
-    return _TZ16, _POP16, _HB16
-
-
-# Half-splitting helpers: wide (uint32) masks reuse the 16-bit tables.  Each
-# returns int16/int64 arrays so downstream arithmetic never wraps.
-def _mask_width(masks: np.ndarray) -> int:
-    return _TABLE_POSITIONS if masks.dtype == np.uint16 else KERNEL_MAX_POSITIONS
+# Bit primitives over packed masks, all built on ``np.bitwise_count``.  Each
+# returns a signed array so downstream arithmetic never wraps.
+def _popcounts(masks: np.ndarray) -> np.ndarray:
+    """Set-bit count per mask."""
+    return np.bitwise_count(masks).astype(np.int64)
 
 
 def _trailing_zeros(masks: np.ndarray) -> np.ndarray:
     """Lowest set bit per mask (the mask's width for an empty mask)."""
-    tz, _, _ = _tables()
-    if masks.dtype == np.uint16:
-        return tz[masks].astype(np.int16)
-    lo = (masks & np.uint32(0xFFFF)).astype(np.uint16)
-    hi = (masks >> np.uint32(16)).astype(np.uint16)
-    low = tz[lo].astype(np.int16)
-    high = np.int16(16) + tz[hi].astype(np.int16)
-    return np.where(lo != 0, low, high)
-
-
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    """Set-bit count per mask."""
-    _, pop, _ = _tables()
-    if masks.dtype == np.uint16:
-        return pop[masks].astype(np.int64)
-    lo = (masks & np.uint32(0xFFFF)).astype(np.uint16)
-    hi = (masks >> np.uint32(16)).astype(np.uint16)
-    return pop[lo].astype(np.int64) + pop[hi].astype(np.int64)
+    return np.bitwise_count((masks & -masks) - masks.dtype.type(1)).astype(np.int16)
 
 
 def _highest_bits(masks: np.ndarray) -> np.ndarray:
     """Highest set bit per mask (-1 for an empty mask)."""
-    _, _, hb = _tables()
-    if masks.dtype == np.uint16:
-        return hb[masks].astype(np.int64)
-    lo = (masks & np.uint32(0xFFFF)).astype(np.uint16)
-    hi = (masks >> np.uint32(16)).astype(np.uint16)
-    return np.where(hi != 0, 16 + hb[hi].astype(np.int64), hb[lo].astype(np.int64))
+    smeared = masks.copy()
+    for shift in (1, 2, 4, 8, 16):
+        smeared |= smeared >> masks.dtype.type(shift)
+    return np.bitwise_count(smeared).astype(np.int64) - 1
 
 
 # --------------------------------------------------------------------- packing
@@ -155,7 +98,7 @@ def pack_drain_masks(values: np.ndarray, storage_bits: int) -> np.ndarray:
             f"magnitude {int(magnitudes.max())} does not fit in {storage_bits} bits "
             f"(max {limit})"
         )
-    dtype = np.uint16 if storage_bits <= _TABLE_POSITIONS else np.uint32
+    dtype = np.uint16 if storage_bits <= _NARROW_POSITIONS else np.uint32
     return magnitudes.astype(dtype)
 
 
@@ -176,7 +119,7 @@ def pack_bit_planes(bits: np.ndarray) -> np.ndarray:
         )
     weights = (np.int64(1) << np.arange(positions, dtype=np.int64))
     packed = np.tensordot(arr.astype(np.int64), weights, axes=([-1], [0]))
-    dtype = np.uint16 if positions <= _TABLE_POSITIONS else np.uint32
+    dtype = np.uint16 if positions <= _NARROW_POSITIONS else np.uint32
     return packed.astype(dtype)
 
 
@@ -193,8 +136,8 @@ def _as_masks(masks: np.ndarray) -> np.ndarray:
     return masks.astype(np.uint16)
 
 
-# -------------------------------------------------------------- frontier loops
-def _frontier_numpy(masks: np.ndarray, reach: np.ndarray) -> np.ndarray:
+# --------------------------------------------------------------- frontier loop
+def _frontier(masks: np.ndarray, reach: np.ndarray) -> np.ndarray:
     """Drain the slow columns with one whole-array update per cycle.
 
     ``masks`` is ``uint16``/``uint32 [columns, lanes]`` (consumed by value —
@@ -202,7 +145,6 @@ def _frontier_numpy(masks: np.ndarray, reach: np.ndarray) -> np.ndarray:
     Returns the per-column cycle counts.  Columns retire from the working set
     as they drain, so late iterations touch only the deepest columns.
     """
-    empty_head = _mask_width(masks)
     one = masks.dtype.type(1)
     out = np.zeros(masks.shape[0], dtype=np.int64)
     cycles = np.zeros(masks.shape[0], dtype=np.int64)
@@ -211,9 +153,7 @@ def _frontier_numpy(masks: np.ndarray, reach: np.ndarray) -> np.ndarray:
     while masks.size:
         heads = _trailing_zeros(masks)
         column_minimum = heads.min(axis=1)
-        eligible = (heads < empty_head) & (
-            heads < (column_minimum + reach)[:, None]
-        )
+        eligible = (masks != 0) & (heads < (column_minimum + reach)[:, None])
         masks = np.where(eligible, masks & (masks - one), masks)
         cycles += 1
         alive = masks.any(axis=1)
@@ -225,76 +165,6 @@ def _frontier_numpy(masks: np.ndarray, reach: np.ndarray) -> np.ndarray:
             cycles = cycles[alive]
             index = index[alive]
     return out
-
-
-def _load_numba_frontier():
-    """JIT-compile the frontier loop with numba, or ``None`` when unavailable."""
-    global _NUMBA_FRONTIER, _NUMBA_FAILED
-    if _NUMBA_FRONTIER is not None:
-        return _NUMBA_FRONTIER
-    if _NUMBA_FAILED:
-        return None
-    try:
-        import numba
-
-        @numba.njit(cache=False)
-        def frontier(masks, reach):  # pragma: no cover - requires numba
-            rows, lanes = masks.shape
-            out = np.zeros(rows, dtype=np.int64)
-            for row in range(rows):
-                cycles = 0
-                while True:
-                    column_minimum = 64
-                    for lane in range(lanes):
-                        value = masks[row, lane]
-                        if value != 0:
-                            trailing = 0
-                            while value & 1 == 0:
-                                value >>= 1
-                                trailing += 1
-                            if trailing < column_minimum:
-                                column_minimum = trailing
-                    if column_minimum == 64:
-                        break
-                    limit = column_minimum + reach[row]
-                    for lane in range(lanes):
-                        value = masks[row, lane]
-                        if value != 0:
-                            trailing = 0
-                            while value & 1 == 0:
-                                value >>= 1
-                                trailing += 1
-                            if trailing < limit:
-                                masks[row, lane] &= masks[row, lane] - 1
-                    cycles += 1
-                out[row] = cycles
-            return out
-
-        def wrapper(masks: np.ndarray, reach: np.ndarray) -> np.ndarray:
-            return frontier(masks.astype(np.int64), reach.astype(np.int64))
-
-        # Compile eagerly on a trivial input so a broken toolchain falls back
-        # here instead of mid-sweep.
-        wrapper(np.array([[1]], dtype=np.uint16), np.array([1], dtype=np.int16))
-        _NUMBA_FRONTIER = wrapper
-        return wrapper
-    except Exception:
-        _NUMBA_FAILED = True
-        return None
-
-
-def drain_backend() -> str:
-    """The frontier-loop backend the next kernel call will use."""
-    if os.environ.get(_BACKEND_ENV, "").strip().lower() == "numba":
-        if _load_numba_frontier() is not None:
-            return "numba"
-    return "numpy"
-
-
-def _frontier(masks: np.ndarray, reach: np.ndarray) -> np.ndarray:
-    if drain_backend() == "numba":
-        return _NUMBA_FRONTIER(masks, reach)
-    return _frontier_numpy(masks, reach)
 
 
 # --------------------------------------------------------------------- kernel

@@ -262,7 +262,7 @@ def _run_gate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    from repro.serve.cli import _parse_endpoint
+    from repro.experiments.base import parse_endpoint
 
     parser = argparse.ArgumentParser(
         prog="repro loadgen",
@@ -270,7 +270,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument(
-        "--connect", type=_parse_endpoint, metavar="HOST:PORT",
+        "--connect", type=parse_endpoint, metavar="HOST:PORT",
         help="load an already-running serve/cluster endpoint",
     )
     mode.add_argument(

@@ -74,25 +74,14 @@ def decode_csd(terms: tuple[tuple[int, int], ...] | list[tuple[int, int]]) -> in
 def csd_term_counts(values: np.ndarray, bits: int = 16) -> np.ndarray:
     """Number of CSD terms of each magnitude (vectorized NAF term count).
 
-    Uses the identity that the NAF of ``n`` has one term per set bit of
-    ``(3n) XOR n`` divided between two positions — i.e. the popcount of
-    ``(n XOR 3n)`` equals twice... rather than rely on bit tricks, the count is
-    computed with the same digit recurrence as :func:`encode_csd`, expressed on
-    whole arrays.
+    Adding ``n`` to ``2n`` carries through exactly the runs the NAF rewrites,
+    so bit ``p + 1`` of ``n XOR 3n`` is set exactly when the NAF of ``n`` has
+    a non-zero digit at position ``p``: the term count is its popcount.
     """
-    magnitudes = np.abs(np.asarray(values, dtype=np.int64)).copy()
+    magnitudes = np.abs(np.asarray(values, dtype=np.int64))
     if magnitudes.size and int(magnitudes.max()) >= (1 << (bits + 1)):
         raise ValueError(f"values do not fit in {bits} bits")
-    counts = np.zeros_like(magnitudes)
-    # At most bits + 1 iterations: each iteration retires the lowest digit.
-    for _ in range(bits + 2):
-        odd = (magnitudes & 1).astype(bool)
-        if not magnitudes.any():
-            break
-        remainder = np.where(magnitudes % 4 == 1, 1, -1)
-        counts = counts + np.where(odd, 1, 0)
-        magnitudes = np.where(odd, magnitudes - remainder, magnitudes) >> 1
-    return counts
+    return np.bitwise_count(magnitudes ^ (3 * magnitudes)).astype(np.int64)
 
 
 def csd_position_matrix(values: np.ndarray, bits: int = 16) -> np.ndarray:

@@ -44,7 +44,7 @@ import abc
 
 import numpy as np
 
-from repro.numerics.csd import csd_term_counts, encode_csd
+from repro.numerics.csd import encode_csd
 
 __all__ = [
     "Encoding",
@@ -114,12 +114,7 @@ class Encoding(abc.ABC):
 
     def term_counts(self, values: np.ndarray, bits: int = 16) -> np.ndarray:
         """Number of terms per magnitude (popcount of :meth:`term_masks`)."""
-        masks = self.term_masks(values, bits=bits).astype(np.uint32)
-        counts = np.zeros(masks.shape, dtype=np.int64)
-        while masks.any():
-            counts += (masks & 1).astype(np.int64)
-            masks >>= 1
-        return counts
+        return np.bitwise_count(self.term_masks(values, bits=bits)).astype(np.int64)
 
     def max_terms(self, bits: int = 16) -> int:
         """Upper bound on the term count of any ``bits``-wide magnitude."""
@@ -185,23 +180,8 @@ class CsdEncoding(Encoding):
 
     def term_masks(self, values: np.ndarray, bits: int = 16) -> np.ndarray:
         magnitudes = self._validated_magnitudes(values, bits)
-        masks = np.zeros(magnitudes.shape, dtype=np.uint32)
-        # Same digit recurrence as csd_term_counts, accumulating positions.
-        for position in range(bits + 2):
-            if not magnitudes.any():
-                break
-            odd = (magnitudes & 1).astype(bool)
-            remainder = np.where(magnitudes % 4 == 1, 1, -1)
-            masks |= np.where(odd, np.uint32(1) << np.uint32(position), 0).astype(
-                np.uint32
-            )
-            magnitudes = np.where(odd, magnitudes - remainder, magnitudes) >> 1
-        return masks
-
-    def term_counts(self, values: np.ndarray, bits: int = 16) -> np.ndarray:
-        # The dedicated vectorized counter avoids materializing masks.
-        self._validated_magnitudes(values, bits)
-        return csd_term_counts(values, bits=bits)
+        # NAF digit positions, by the identity of csd_term_counts.
+        return ((magnitudes ^ (3 * magnitudes)) >> 1).astype(np.uint32)
 
     def max_terms(self, bits: int = 16) -> int:
         # NAF never uses two adjacent positions out of bits + 1 available.

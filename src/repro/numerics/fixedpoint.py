@@ -154,20 +154,19 @@ def popcount(values: np.ndarray, bits: int = 16) -> np.ndarray:
 
     This is the quantity the paper calls the *essential bit content* of a neuron.
     """
-    return bit_matrix(values, bits).sum(axis=-1).astype(np.int64)
+    return np.bitwise_count(_as_magnitude(values, bits)).astype(np.int64)
 
 
 def leading_bit_position(values: np.ndarray, bits: int = 16) -> np.ndarray:
     """Position of the most significant set bit of each magnitude (-1 for zero)."""
-    mat = bit_matrix(values, bits)
-    positions = np.arange(bits)
-    weighted = np.where(mat, positions, -1)
-    return weighted.max(axis=-1).astype(np.int64)
+    mags = _as_magnitude(values, bits)
+    for shift in (1, 2, 4, 8, 16, 32):
+        mags |= mags >> np.uint64(shift)
+    return np.bitwise_count(mags).astype(np.int64) - 1
 
 
 def trailing_bit_position(values: np.ndarray, bits: int = 16) -> np.ndarray:
     """Position of the least significant set bit of each magnitude (``bits`` for zero)."""
-    mat = bit_matrix(values, bits)
-    positions = np.arange(bits)
-    weighted = np.where(mat, positions, bits)
-    return weighted.min(axis=-1).astype(np.int64)
+    mags = _as_magnitude(values, bits)
+    lowest = np.bitwise_count((mags & -mags) - np.uint64(1)).astype(np.int64)
+    return np.minimum(lowest, bits)

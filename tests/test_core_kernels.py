@@ -11,8 +11,7 @@ changed numerically:
   float equality, same sampling seed) to
   :class:`repro.core.accelerator.PragmaticAccelerator` over a randomized grid
   of chips, storage encodings, ``first_stage_bits``, SSR counts and both
-  synchronization schemes;
-* the optional numba backend flag degrades gracefully when numba is absent.
+  synchronization schemes.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.core.accelerator import PragmaticAccelerator, PragmaticConfig
 from repro.core.kernels import (
     KERNEL_MAX_POSITIONS,
     batched_drain_cycles,
-    drain_backend,
     pack_bit_planes,
     pack_drain_masks,
     packed_essential_terms,
@@ -145,6 +143,20 @@ class TestKernelMatchesReference:
         np.testing.assert_array_equal(
             column_drain_cycles(bit_matrix(values, bits=16), first_stage_bits),
             reference,
+        )
+        # Full-width uint32 masks, with the edge cases of wide masks: an empty
+        # low half, the top bit alone, and every bit set.  Row 1 stalls on a
+        # span that lies wholly in the high half.
+        wide = random_columns(rng, columns=12, lanes=4, value_bits=32)
+        wide[:4] = [
+            [1 << 16, 0xFFFF0000, 1 << 31, 0xFFFFFFFF],
+            [(1 << 20) | (1 << 21), 1 << 31, 0, 0],
+            [1 << 31, 1 << 31, 1, 0],
+            [0xFFFFFFFF, 0xFFFF0000, 1 << 16, 1 << 31],
+        ]
+        np.testing.assert_array_equal(
+            batched_drain_cycles(pack_drain_masks(wide, 32), (1 << first_stage_bits,))[0],
+            _reference_drain_cycles(bit_matrix(wide, bits=32), first_stage_bits),
         )
 
     @pytest.mark.parametrize("storage_bits", (8, 16))
@@ -296,26 +308,3 @@ class TestGoldenSweepEquivalence:
         for label, config in configs.items():
             direct = PragmaticAccelerator(config).simulate_network(tiny_trace, sampling)
             assert swept[label].layers == direct.layers
-
-
-class TestBackendFlag:
-    """REPRO_DRAIN_BACKEND switches the frontier loop, never the results."""
-
-    def test_default_backend_is_numpy(self, monkeypatch):
-        monkeypatch.delenv("REPRO_DRAIN_BACKEND", raising=False)
-        assert drain_backend() == "numpy"
-
-    def test_unknown_backend_value_falls_back_to_numpy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_DRAIN_BACKEND", "cuda")
-        assert drain_backend() == "numpy"
-
-    def test_numba_request_degrades_gracefully_and_stays_identical(self, monkeypatch):
-        """With numba missing the flag is a no-op; with it, results match."""
-        rng = np.random.default_rng(8)
-        values = random_columns(rng)
-        masks = pack_drain_masks(values, 16)
-        monkeypatch.delenv("REPRO_DRAIN_BACKEND", raising=False)
-        baseline = batched_drain_cycles(masks, (1, 2, 4))
-        monkeypatch.setenv("REPRO_DRAIN_BACKEND", "numba")
-        assert drain_backend() in ("numpy", "numba")
-        np.testing.assert_array_equal(batched_drain_cycles(masks, (1, 2, 4)), baseline)

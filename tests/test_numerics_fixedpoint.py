@@ -114,8 +114,18 @@ class TestBitHelpers:
         np.testing.assert_array_equal(
             leading_bit_position(np.array([0, 1, 2, 5, 0x8000]), 16), [-1, 0, 1, 2, 15]
         )
+        wide = [0, 1, 1 << 16, 0xFFFF0000, 1 << 31, 0xFFFFFFFF, 0x12345678]
+        np.testing.assert_array_equal(
+            leading_bit_position(np.array(wide), 32),
+            [value.bit_length() - 1 for value in wide],
+        )
 
     def test_trailing_bit_position(self):
         np.testing.assert_array_equal(
             trailing_bit_position(np.array([0, 1, 2, 12]), 16), [16, 0, 1, 2]
+        )
+        wide = [0, 1, 1 << 16, 0xFFFF0000, 1 << 31, 0xFFFFFFFF, 0x12345678]
+        np.testing.assert_array_equal(
+            trailing_bit_position(np.array(wide), 32),
+            [(value & -value).bit_length() - 1 if value else 32 for value in wide],
         )

@@ -318,6 +318,17 @@ class TestCacheCLI:
         with pytest.raises(argparse.ArgumentTypeError):
             parse_age("-5")
 
+    def test_endpoint_parsing(self):
+        import argparse
+
+        from repro.experiments.base import parse_endpoint
+
+        assert parse_endpoint("host:8000") == ("host", 8000)
+        assert parse_endpoint("::1:8000") == ("::1", 8000)
+        for bad in ("8000", "host:", "host:abc"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                parse_endpoint(bad)
+
 
 class TestEnvVarResolution:
     def test_cache_dir_env_var_is_resolved_at_call_time(self, monkeypatch, tmp_path):
