@@ -1,17 +1,9 @@
 """``python -m repro cacheserve`` — the standalone network cache server.
 
-Modes:
-
-* ``--tcp HOST:PORT`` (default ``127.0.0.1:0``) — serve the length-prefixed
-  JSON frame protocol of ``docs/cachenet.md`` until interrupted or a client
-  sends the ``shutdown`` op.  The bound endpoint is announced on stderr
-  (``cacheserve listening on HOST:PORT``), so port ``0`` works in scripts.
-* ``--selftest`` — start an in-process cache server, run a 2-worker cluster
-  cold against ``--cache-backend remote://...``, prove a second cluster of
-  *host-fresh* workers serves the same run warm (``simulated 0 configs``)
-  with zero local filesystem cache, then stop the server and prove clients
-  degrade to recomputation (the degraded counter rises, nothing errors).
-  Exits non-zero on any failure; CI runs this.
+Serves the length-prefixed JSON frame protocol of ``docs/cachenet.md`` on
+``--tcp HOST:PORT`` (default ``127.0.0.1:0``) until interrupted or a client
+sends the ``shutdown`` op.  The bound endpoint is announced on stderr
+(``cacheserve listening on HOST:PORT``), so port ``0`` works in scripts.
 
 ``--cache-dir`` names the entry directory (the standard gzip entry files plus
 the lifecycle manifest — a cache server can adopt any existing cache
@@ -19,7 +11,8 @@ directory).  ``--auth-token`` (or ``REPRO_CACHE_TOKEN``) demands a
 constant-time-compared shared secret from every connection.  ``--gc-max-age``
 is the TTL: with ``--gc-interval`` a background thread evicts entries older
 than it; ``--gc-max-bytes`` caps the store LRU-first, same spellings as the
-batch CLI's ``--cache-gc``.
+batch CLI's ``--cache-gc``.  The cold / host-fresh warm / degraded ladder
+against a 2-worker cluster runs as ``python -m pytest tests/e2e -q``.
 """
 
 from __future__ import annotations
@@ -34,35 +27,17 @@ from repro.runtime.session import default_cache_dir
 __all__ = ["main"]
 
 
-def _selftest() -> int:
-    """Cold/warm/degraded, end to end through a real cluster.
-
-    The heavy lifting lives beside the other cluster selftest checks in
-    :mod:`repro.cluster.cli` (imported lazily — the cluster layer imports this
-    package's backends at module scope).
-    """
-    from repro.cluster.cli import run_cachenet_selftest
-
-    return run_cachenet_selftest()
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro cacheserve",
         description="Serve one shared result-cache tier to remote backends over TCP.",
     )
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument(
+    parser.add_argument(
         "--tcp",
         type=parse_endpoint,
         default=("127.0.0.1", 0),
         metavar="HOST:PORT",
         help="endpoint to listen on (default: 127.0.0.1:0, ephemeral)",
-    )
-    mode.add_argument(
-        "--selftest",
-        action="store_true",
-        help="run the cold/warm/degraded cachenet checks in-process and exit",
     )
     parser.add_argument(
         "--cache-dir",
@@ -103,9 +78,6 @@ def main(argv: list[str] | None = None) -> int:
         help="TTL: evict entries unused for AGE (e.g. 30d)",
     )
     args = parser.parse_args(argv)
-
-    if args.selftest:
-        return _selftest()
 
     if args.auth_token is None:
         args.auth_token = os.environ.get("REPRO_CACHE_TOKEN") or None

@@ -15,7 +15,7 @@ Layering::
     plan          wire codec for planned jobs + internal sim_job/stat_job ops
     worker        WorkerService: registration handshake + internal-op executor
     coordinator   ClusterService: flights, routing, failover, stat merging
-    cli           python -m repro cluster (incl. --selftest and batch mode)
+    cli           python -m repro cluster (incl. batch mode)
 
 ``docs/cluster.md`` documents the topology, the shard-routing rules and the
 failure semantics.

@@ -6,14 +6,6 @@ Modes:
   stdin/stdout until EOF or a ``shutdown`` op.
 * ``--tcp HOST:PORT`` — listen for concurrent protocol connections
   (``PORT 0`` picks an ephemeral port, printed on startup).
-* ``--selftest`` — start an in-process TCP server and exercise the protocol
-  end to end through a real client connection: one full request round-trip,
-  one ``stream: true`` request (asserting incremental ``progress`` events
-  arrive before the terminal ``done``), and one mid-run cancellation
-  (asserting the cooperative checkpoint frees the worker with a terminal
-  ``cancelled``).  Exits non-zero on any failure; CI runs this on every
-  tier-1 platform.
-
 * ``--worker`` — cluster worker mode (``docs/cluster.md``): a TCP service
   with the registration handshake and internal job ops a
   ``python -m repro cluster`` coordinator drives, storing through the
@@ -27,7 +19,8 @@ from every TCP connection before anything reaches the queue.  Long-lived
 servers can enable automatic background cache GC with ``--gc-interval`` plus
 ``--gc-max-bytes`` and/or ``--gc-max-age`` (same size/age spellings as the
 batch CLI's ``--cache-gc``).  See ``docs/serving.md`` for the protocol and
-examples.
+examples; ``python -m pytest tests/e2e -q`` drives it end to end through
+spawned worker processes.
 """
 
 from __future__ import annotations
@@ -49,107 +42,6 @@ def _parse_interval(value: str) -> float:
     if seconds <= 0:
         raise argparse.ArgumentTypeError("--gc-interval must be positive")
     return seconds
-
-
-#: Small workload for the selftest's streamed/cancelled requests.
-_SELFTEST_OVERRIDES = {"networks": ["alexnet"], "max_pallets": 2, "samples_per_layer": 1500}
-
-
-async def _selftest_stream(client) -> int:
-    """A ``stream: true`` request must emit progress before its terminal done."""
-    events = []
-    async for event in client.stream_experiment("fig9", overrides=_SELFTEST_OVERRIDES):
-        events.append(event)
-    names = [event.get("event") for event in events]
-    if names[-1] != "done":
-        print(f"selftest: streamed request ended with {names[-1]!r}", file=sys.stderr)
-        return 1
-    progress = [event for event in events if event.get("event") == "progress"]
-    if not progress:
-        print("selftest: streamed request produced no progress events", file=sys.stderr)
-        return 1
-    networks = {
-        event["progress"].get("network")
-        for event in progress
-        if event["progress"].get("stage") == "network"
-    }
-    if "alexnet" not in networks:
-        print("selftest: no per-network progress event observed", file=sys.stderr)
-        return 1
-    print(
-        f"selftest ok: streamed fig9 emitted {len(progress)} progress event(s) "
-        f"across networks {sorted(networks)} before done"
-    )
-    return 0
-
-
-async def _selftest_cancel(client) -> int:
-    """Cancelling mid-run must interrupt the sweep at a checkpoint."""
-    cancelled = False
-    terminal = None
-    async for event in client.stream_run_all(preset="fast", overrides=_SELFTEST_OVERRIDES):
-        name = event.get("event")
-        if name == "progress" and not cancelled:
-            cancelled = True
-            await client.cancel(event["ticket"])
-        if name in ("done", "failed", "cancelled", "error"):
-            terminal = name
-    if not cancelled:
-        print("selftest: run_all produced no progress to cancel on", file=sys.stderr)
-        return 1
-    if terminal != "cancelled":
-        print(f"selftest: expected terminal cancelled, got {terminal!r}", file=sys.stderr)
-        return 1
-    # The cooperative cancellation must actually free the worker: a follow-up
-    # request on the same (single-worker-capable) server completes promptly.
-    follow_up = await asyncio.wait_for(
-        client.run_experiment("table3", preset="smoke"), timeout=60
-    )
-    if not follow_up.ok:
-        print(f"selftest: post-cancel request failed: {follow_up.error}", file=sys.stderr)
-        return 1
-    print("selftest ok: mid-run cancellation freed the worker (terminal cancelled)")
-    return 0
-
-
-async def _selftest(workers: int) -> int:
-    """Protocol round-trip + streamed request + mid-run cancellation."""
-    from repro.serve.client import ServeClient
-    from repro.serve.service import ExperimentService
-
-    service = ExperimentService(cache_dir=None, workers=workers)
-    async with service:
-        server = await service.serve_tcp("127.0.0.1", 0)
-        port = server.sockets[0].getsockname()[1]
-        async with server:
-            client = await ServeClient.connect("127.0.0.1", port)
-            try:
-                if not await client.ping():
-                    print("selftest: ping failed", file=sys.stderr)
-                    return 1
-                listing = await client.list_experiments()
-                names = [entry["name"] for entry in listing.get("experiments", [])]
-                if "fig9" not in names:
-                    print("selftest: experiment listing incomplete", file=sys.stderr)
-                    return 1
-                response = await client.run_experiment("table3", preset="smoke")
-                if not response.ok or not response.result:
-                    print(f"selftest: request failed: {response.error}", file=sys.stderr)
-                    return 1
-                rows = response.result["experiment"]["rows"]
-                stats = await client.stats()
-                completed = stats["queue"]["completed"]
-                print(
-                    "selftest ok: table3 --preset smoke round-trip "
-                    f"({len(rows)} rows, {completed} job(s) completed, "
-                    f"stats: {response.stats.summary()})"
-                )
-                status = await _selftest_stream(client)
-                if status:
-                    return status
-                return await _selftest_cancel(client)
-            finally:
-                await client.close()
 
 
 async def _run_worker(args) -> int:
@@ -218,11 +110,6 @@ def main(argv: list[str] | None = None) -> int:
         type=parse_endpoint,
         metavar="HOST:PORT",
         help="listen for protocol connections on HOST:PORT (port 0 = ephemeral)",
-    )
-    mode.add_argument(
-        "--selftest",
-        action="store_true",
-        help="run round-trip, streamed and mid-run-cancellation checks and exit",
     )
     mode.add_argument(
         "--worker",
@@ -316,9 +203,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.auth_token is None:
         args.auth_token = os.environ.get("REPRO_SERVE_TOKEN") or None
-
-    if args.selftest:
-        return asyncio.run(_selftest(args.workers))
 
     if args.worker:
         if args.no_cache:

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from repro.runtime import RunStats
-from repro.serve.protocol import ProtocolError, decode, encode
+from repro.serve.protocol import MAX_LINE_BYTES, ProtocolError, decode, encode
 
 __all__ = ["ServeResponse", "ServeClient"]
 
@@ -80,7 +80,9 @@ class ServeClient:
         cls, host: str = "127.0.0.1", port: int = 0, auth_token: str | None = None
     ) -> "ServeClient":
         """Open a connection, authenticating first when ``auth_token`` is given."""
-        reader, writer = await asyncio.open_connection(host, port)
+        reader, writer = await asyncio.open_connection(
+            host, port, limit=MAX_LINE_BYTES
+        )
         client = cls(reader, writer)
         if auth_token is not None:
             try:

@@ -20,10 +20,15 @@ queue, the workers and the in-process API all share — and each request type
 knows its deduplication key, built on the runtime's content fingerprints so
 identical in-flight requests coalesce onto one job.  ``docs/serving.md``
 documents the protocol with examples.
+
+A line is bounded by :data:`MAX_LINE_BYTES` in both directions.  The server
+answers an oversize request line with an ``error`` event, skips it and keeps
+the connection open (:func:`read_line`).
 """
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -40,6 +45,8 @@ __all__ = [
     "parse_request",
     "encode",
     "decode",
+    "read_line",
+    "MAX_LINE_BYTES",
     "JOB_OPS",
     "CONTROL_OPS",
 ]
@@ -52,6 +59,11 @@ JOB_OPS = ("run_experiment", "run_all", "simulate")
 #: ``auth`` presents the shared secret of a token-protected server — on such
 #: a server it must be the connection's first message).
 CONTROL_OPS = ("status", "cancel", "stats", "gc", "list", "ping", "auth", "shutdown")
+
+#: Upper bound on one protocol line, request or response: the ``limit=`` of
+#: every serve stream.  A fast-preset ``run_all`` result is tens of kilobytes,
+#: so anything near this bound is damage.
+MAX_LINE_BYTES = 16 * 1024 * 1024
 
 #: Preset fields a request may override.
 _OVERRIDE_FIELDS = ("networks", "samples_per_layer", "max_pallets")
@@ -301,3 +313,27 @@ def decode(line: bytes | str) -> dict:
     if not isinstance(message, dict):
         raise ProtocolError("protocol messages must be JSON objects")
     return message
+
+
+async def read_line(reader: asyncio.StreamReader) -> bytes:
+    """The next line of ``reader`` (``b""`` at EOF).
+
+    A line longer than the stream's limit is consumed through its newline
+    and raises :class:`ProtocolError`, so the line after it reads intact.
+    """
+    try:
+        return await reader.readuntil(b"\n")
+    except asyncio.IncompleteReadError as eof:
+        return eof.partial
+    except asyncio.LimitOverrunError as overrun:
+        consumed = overrun.consumed
+    while True:
+        await reader.readexactly(consumed)  # already buffered
+        try:
+            await reader.readuntil(b"\n")
+            break
+        except asyncio.IncompleteReadError:
+            break
+        except asyncio.LimitOverrunError as overrun:
+            consumed = overrun.consumed
+    raise ProtocolError(f"line exceeds the {MAX_LINE_BYTES}-byte limit")

@@ -34,11 +34,13 @@ from repro.runtime.session import resolve_trace_dir
 from repro.serve.protocol import (
     CONTROL_OPS,
     JOB_OPS,
+    MAX_LINE_BYTES,
     ProtocolError,
     ServeRequest,
     decode,
     encode,
     parse_request,
+    read_line,
 )
 from repro.serve.queue import RequestQueue, Ticket
 from repro.serve.workers import WorkerPool
@@ -605,12 +607,12 @@ class ExperimentService:
         sender = asyncio.create_task(drain_outbox())
         try:
             while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                if not line.strip():
-                    continue
                 try:
+                    line = await read_line(reader)
+                    if not line:
+                        break
+                    if not line.strip():
+                        continue
                     message = decode(line)
                 except ProtocolError as error:
                     outbox.put_nowait({"event": "error", "error": str(error)})
@@ -636,7 +638,9 @@ class ExperimentService:
     async def serve_tcp(self, host: str = "127.0.0.1", port: int = 0) -> asyncio.Server:
         """Listen for protocol connections; returns the (started) server."""
         await self.start()
-        return await asyncio.start_server(self.handle_connection, host, port)
+        return await asyncio.start_server(
+            self.handle_connection, host, port, limit=MAX_LINE_BYTES
+        )
 
     async def run_stdio(self, stdin=None, stdout=None) -> None:
         """Speak the protocol over stdin/stdout until EOF or ``shutdown``."""

@@ -4,8 +4,8 @@ The end-to-end tests run a real coordinator against *in-process* worker
 services connected over loopback TCP — separate ``WorkerService`` instances
 with separate sessions sharing one ``SharedDirectoryBackend`` directory, the
 exact topology of a local cluster minus the subprocess spawn (which
-``python -m repro cluster --selftest`` exercises in CI with real worker
-processes and a real mid-run kill).
+``python -m pytest tests/e2e -q`` exercises with real worker processes and a
+real mid-run kill).
 """
 
 import asyncio

@@ -23,7 +23,7 @@ from repro.serve import (
     parse_request,
 )
 from repro.serve.cli import main as serve_main
-from repro.serve.protocol import decode, encode
+from repro.serve.protocol import MAX_LINE_BYTES, decode, encode
 from repro.serve.queue import RequestQueue
 
 #: Tiny fast-preset override so served simulations take seconds.
@@ -490,6 +490,9 @@ class TestServeAuth:
                     client = await ServeClient.connect("127.0.0.1", port)
                     try:
                         assert await client.ping()
+                        listing = await client.list_experiments()
+                        names = [entry["name"] for entry in listing["experiments"]]
+                        assert "fig9" in names
                         # Explicit auth against a tokenless server is a no-op.
                         await client.auth("anything")
                     finally:
@@ -872,6 +875,12 @@ class TestRunningCancellation:
                     await asyncio.wait_for(ticket.job.done.wait(), timeout=60)
                     assert ticket.job.state == "cancelled"
                     assert await client.ping()
+                    # The cooperative cancellation freed the only worker: a
+                    # real request on the same connection completes.
+                    follow_up = await asyncio.wait_for(
+                        client.run_experiment("table3", preset="smoke"), timeout=60
+                    )
+                    assert follow_up.ok, follow_up.error
                     await client.close()
 
         run(scenario())
@@ -941,31 +950,19 @@ class TestStreaming:
                     one = await ServeClient.connect("127.0.0.1", port)
                     two = await ServeClient.connect("127.0.0.1", port)
 
-                    async def consume(client, message):
-                        events = []
-                        async for event in client.stream(message):
-                            events.append(event)
-                        return events
+                    async def consume(stream):
+                        return [event async for event in stream]
 
                     first, second = await asyncio.gather(
-                        consume(
-                            one,
-                            {
-                                "op": "run_experiment",
-                                "experiment": "fig9",
-                                "preset": "fast",
-                                "overrides": TINY,
-                            },
-                        ),
-                        consume(
-                            two,
-                            {
-                                "op": "run_experiment",
-                                "experiment": "fig10",
-                                "preset": "fast",
-                                "overrides": TINY,
-                            },
-                        ),
+                        consume(one.stream_experiment("fig9", overrides=TINY)),
+                        consume(two.stream_experiment("fig10", overrides=TINY)),
+                    )
+                    # Per-network progress reaches the client before done.
+                    assert any(
+                        e["event"] == "progress"
+                        and e["progress"].get("stage") == "network"
+                        and e["progress"].get("network") == "alexnet"
+                        for e in first
                     )
                     tickets = set()
                     for events in (first, second):
@@ -979,6 +976,44 @@ class TestStreaming:
                     assert len(tickets) == 2  # no cross-talk between clients
                     await one.close()
                     await two.close()
+
+        run(scenario())
+
+
+# ------------------------------------------------------------------ line limit
+class TestLineLimit:
+    def test_oversize_lines_are_refused_and_the_connection_survives(self):
+        """A line over MAX_LINE_BYTES gets an ``error`` and the connection
+        keeps serving; requests and replies over asyncio's 64 KiB default
+        stream limit get through."""
+        big_result = {"blob": "x" * (200 * 1024)}
+
+        def executor(request, session, token):
+            return big_result, {}
+
+        async def scenario():
+            service = ExperimentService(cache_dir=None, workers=1, executor=executor)
+            async with service:
+                server = await service.serve_tcp("127.0.0.1", 0)
+                port = server.sockets[0].getsockname()[1]
+                async with server:
+                    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                    oversize = b'{"id": "big", "op": "ping", "pad": "'
+                    writer.write(oversize + b"x" * MAX_LINE_BYTES + b'"}\n')
+                    writer.write(encode({"id": "p1", "op": "ping", "pad": "y" * 100_000}))
+                    await writer.drain()
+                    refused = decode(await reader.readline())
+                    assert refused["event"] == "error"
+                    assert str(MAX_LINE_BYTES) in refused["error"]
+                    assert decode(await reader.readline()) == {"id": "p1", "event": "pong"}
+                    writer.close()
+                    client = await ServeClient.connect("127.0.0.1", port)
+                    try:
+                        response = await client.run_experiment("table3", preset="smoke")
+                        assert response.ok, response.error
+                        assert response.result == big_result
+                    finally:
+                        await client.close()
 
         run(scenario())
 
@@ -1153,13 +1188,9 @@ class TestFrontEnds:
         done = [e for e in events if e["event"] == "done"][0]
         assert done["result"]["experiment"]["experiment"] == "table3"
 
-    def test_cli_selftest(self, capsys):
-        assert serve_main(["--selftest"]) == 0
-        assert "selftest ok" in capsys.readouterr().out
-
     def test_cli_rejects_bad_arguments(self):
         with pytest.raises(SystemExit):
-            serve_main(["--workers", "0", "--selftest"])
+            serve_main(["--workers", "0", "--stdio"])
         with pytest.raises(SystemExit):
             serve_main(["--tcp", "nonsense"])
         with pytest.raises(SystemExit):
