@@ -30,16 +30,20 @@ from repro.energy.power import design_power
 from repro.runtime import (
     SimulationRequest,
     TraceSpec,
-    configure_session,
+    build_session,
     current_session,
     simulate,
+    use_session,
 )
 
 
 def main(network: str = "vgg_m", cache_dir: str | None = None) -> None:
-    if cache_dir:
-        # Persist simulation results so repeat explorations are instant.
-        configure_session(cache_dir=cache_dir)
+    # A cache dir persists simulation results so repeat explorations are instant.
+    with use_session(build_session(cache_dir=cache_dir)):
+        explore(network)
+
+
+def explore(network: str) -> None:
     spec = TraceSpec(network=network)
     sampling = SamplingConfig(max_pallets=8)
 

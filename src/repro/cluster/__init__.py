@@ -6,7 +6,7 @@ that speaks the *unchanged* public serve protocol to clients.  The
 coordinator plans each request with the runtime's existing job graph, routes
 every planned job to a worker by rendezvous hash of its content key,
 coalesces identical in-flight jobs cluster-wide, merges per-worker
-``RunStats`` (distinct-cache gauge rule), streams progress and forwards
+``RunStats``, streams progress and forwards
 cancellation end to end, and requeues a dead worker's jobs onto survivors.
 
 Layering::
@@ -29,7 +29,7 @@ from repro.cluster.plan import (
     StatisticsJobRequest,
     parse_internal_request,
 )
-from repro.cluster.worker import WorkerService, execute_worker_request, worker_session
+from repro.cluster.worker import WorkerService, execute_worker_request
 
 __all__ = [
     "ClusterError",
@@ -44,5 +44,4 @@ __all__ = [
     "parse_internal_request",
     "rendezvous_owner",
     "rendezvous_rank",
-    "worker_session",
 ]

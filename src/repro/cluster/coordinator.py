@@ -19,8 +19,8 @@ the full lifecycle):
 4. once an experiment's dependency flights land, its assembly
    (``run_experiment``) is dispatched at a raised priority — every input is
    a warm cache hit by then, so assembly is cheap presentation logic;
-5. per-worker ``RunStats`` come back on each flight and are merged with the
-   distinct-cache gauge rule; streamed progress events hop worker →
+5. per-worker ``RunStats`` come back on each flight and are merged by
+   their declared rules; streamed progress events hop worker →
    coordinator → client, and a client's cancel hops the other way through
    :attr:`~repro.core.progress.ProgressToken.on_cancel`.
 
@@ -55,7 +55,7 @@ from pathlib import Path
 from repro.core.progress import SweepCancelled
 from repro.runtime import RunStats
 from repro.runtime.jobs import build_plan
-from repro.runtime.session import resolve_trace_dir
+from repro.runtime.session import build_session, resolve_trace_dir
 from repro.serve.client import ServeClient
 from repro.serve.protocol import (
     ExperimentRequest,
@@ -204,8 +204,7 @@ class _JobContext:
         self._credited.add(id(flight))
         stats = payload.get("stats")
         if stats:
-            # Distinct caches: each flight ran in a different worker process.
-            self.stats.merge(stats, distinct_caches=True)
+            self.stats.merge(stats)
         timings = payload.get("timings") or {}
         self.worker_execution_seconds += timings.get("execution_seconds", 0.0)
 
@@ -283,14 +282,13 @@ class ClusterService(ExperimentService):
             cache_dir = tempfile.mkdtemp(prefix="repro-cluster-cache-")
         # The coordinator's own session exists to *plan* (cache probes prune
         # warm units) and must see the workers' stores: same shared backend.
-        from repro.cluster.worker import worker_session
-
         super().__init__(
-            session=worker_session(
+            session=build_session(
                 cache_dir,
                 trace_dir=trace_dir,
                 no_trace_cache=no_trace_cache,
                 cache_backend=cache_backend,
+                shared=True,
             ),
             workers=concurrent_requests,
             auth_token=auth_token,
@@ -462,38 +460,45 @@ class ClusterService(ExperimentService):
                 if link.process is None or self.links.get(worker_id) is not link:
                     continue
                 if not link.alive:
-                    await self._replace(worker_id, link, reason="respawned")
+                    await self._replace(worker_id, link)
                 elif (
                     self.max_jobs_per_worker is not None
                     and link.completed >= self.max_jobs_per_worker
                     and link.inflight == 0
                 ):
-                    await self._replace(worker_id, link, reason="recycled")
+                    await self._replace(worker_id, link)
 
-    async def _replace(self, worker_id: str, old: WorkerLink, reason: str) -> None:
-        """Close ``old`` and install a freshly spawned worker under its id.
+    async def _replace(self, worker_id: str, old: WorkerLink) -> None:
+        """Install a freshly spawned worker under ``old``'s id.
 
         The replacement re-registers (and pre-warms) through the normal
         handshake, so from the routing layer's point of view a respawned
         worker is indistinguishable from a new join: the next rendezvous
-        walk simply sees a live link under the same id again.
+        walk simply sees a live link under the same id again.  A live
+        ``old`` (a recycle) keeps serving until its replacement has
+        registered and is closed once the jobs it still runs finish, so
+        recycling never leaves its slot without a live worker.
         """
-        await old.close()
         try:
             fresh = await self._spawn_worker(worker_id)
         except Exception:
-            # Leave the dead link in place: it keeps the loss visible in
-            # stats and the monitor retries on its next pass.
+            # Leave the old link in place: a dead one keeps the loss visible
+            # in stats, and the monitor retries on its next pass.
             self.respawn_failures += 1
             return
-        if self.links.get(worker_id) is old:
-            self.links[worker_id] = fresh
-            if reason == "recycled":
-                self.workers_recycled += 1
-            else:
-                self.workers_respawned += 1
-        else:  # pragma: no cover - lost a replace race; keep the winner
+        if self.links.get(worker_id) is not old:  # pragma: no cover - lost a replace race
             await fresh.close()
+            return
+        self.links[worker_id] = fresh
+        try:
+            if old.alive:
+                self.workers_recycled += 1
+                while old.inflight and old.alive:
+                    await asyncio.sleep(MONITOR_INTERVAL)
+            else:  # died, possibly while its replacement was spawning
+                self.workers_respawned += 1
+        finally:
+            await old.close()
 
     # ------------------------------------------------------------------ routing
     def live_links(self) -> list[WorkerLink]:
@@ -867,13 +872,13 @@ class ClusterService(ExperimentService):
         return payload
 
     async def cluster_stats(self) -> dict:
-        """The ``stats`` payload plus live per-worker stats, distinct-merged.
+        """The ``stats`` payload plus live per-worker stats, merged.
 
         Queries every live worker's ``stats`` op and folds their lifetime
-        ``RunStats`` into a ``fleet`` section using the distinct-cache gauge
-        rule (each worker owns its own memo and counters; disk gauges
-        describe the same shared directory only in the local-spawn topology,
-        so the sum is an upper bound there and exact for disjoint backends).
+        ``RunStats`` into a ``fleet`` section: counters and per-process memo
+        sizes sum, while a shared tier's disk gauges (the shared directory,
+        the network cache) count once (see
+        :class:`~repro.runtime.cache.CacheStats`).
         """
         payload = self.stats()
         fleet = RunStats()
@@ -892,7 +897,7 @@ class ClusterService(ExperimentService):
                 continue
             stats = answer.get("stats", {})
             per_worker[link.worker_id] = stats
-            fleet.merge(stats, distinct_caches=True)
+            fleet.merge(stats)
         payload["cluster"]["fleet"] = fleet.as_dict()
         payload["cluster"]["per_worker_stats"] = per_worker
         return payload

@@ -26,6 +26,7 @@ from repro.arch.memory import NeuronMemory
 from repro.arch.tiling import SamplingConfig, sample_pallet_values
 from repro.baselines.dadiannao import DaDianNaoModel
 from repro.core.accelerator import LayerResult, NetworkResult, PragmaticConfig
+from repro.core.counters import Counters
 from repro.core.kernels import batched_drain_cycles, packed_essential_terms
 from repro.core.progress import ProgressToken, SweepCancelled
 from repro.core.scheduling import encoded_drain_masks, ssr_pipeline_cycles
@@ -42,7 +43,7 @@ __all__ = [
 
 
 @dataclass
-class SweepStats:
+class SweepStats(Counters):
     """Counters of the work a sweep actually performed.
 
     The runtime layer passes one instance through every sweep of a session so
@@ -52,19 +53,6 @@ class SweepStats:
 
     configs_simulated: int = 0
     drain_groups_computed: int = 0
-
-    def merge(self, other: "SweepStats | dict") -> None:
-        """Accumulate counters from another stats object (or its dict form)."""
-        if isinstance(other, SweepStats):
-            other = other.as_dict()
-        self.configs_simulated += other.get("configs_simulated", 0)
-        self.drain_groups_computed += other.get("drain_groups_computed", 0)
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "configs_simulated": self.configs_simulated,
-            "drain_groups_computed": self.drain_groups_computed,
-        }
 
 
 def cycles_from_drain(

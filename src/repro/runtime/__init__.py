@@ -59,7 +59,7 @@ from repro.runtime.session import (
     DEFAULT_CACHE_DIR,
     RunStats,
     RuntimeSession,
-    configure_session,
+    build_session,
     current_session,
     default_cache_dir,
     isolated_session,
@@ -104,7 +104,7 @@ __all__ = [
     "run_experiments",
     "RunStats",
     "RuntimeSession",
-    "configure_session",
+    "build_session",
     "current_session",
     "isolated_session",
     "use_session",

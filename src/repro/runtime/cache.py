@@ -30,6 +30,7 @@ import collections
 from dataclasses import dataclass
 from pathlib import Path
 
+from repro.core.counters import Counters, either, maximum, merged_by, storage
 from repro.runtime import lifecycle
 from repro.runtime.backends import (
     CacheBackend,
@@ -48,78 +49,36 @@ DEFAULT_MEMO_ENTRIES = 512
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Counters describing how a cache behaved during a run.
 
-    ``hits``/``misses``/``stores``/``errors`` are counters (summed by
-    :meth:`merge`).  ``disk_entries``/``disk_bytes``/``memo_entries`` and
+    ``hits``/``misses``/``stores``/``errors`` are event counters.
+    ``disk_entries``/``disk_bytes``/``memo_entries`` and
     ``oldest_age_seconds`` are *gauges* describing current cache state —
-    populated by :meth:`ResultCache.snapshot`.  Gauges merge two ways:
+    populated by :meth:`ResultCache.gauges`.  One merge rule serves every
+    aggregation (pool jobs, serve views, the cluster fleet):
 
-    * ``distinct_caches=False`` (default) — by ``max``: the snapshots
-      describe *one shared cache* seen from several views (pool workers, the
-      serve stats views), so summing them would double its size.
-    * ``distinct_caches=True`` — by sum: the snapshots describe *different
-      caches* (one per cluster worker process); taking ``max`` would silently
-      under-report aggregate footprint.  The cluster coordinator merges
-      worker snapshots this way (``docs/cluster.md``).
-
-    ``shared_gauges`` qualifies the distinct mode: a snapshot whose *storage*
-    is shared across processes (the shared-directory backend, the network
-    cache tier of ``docs/cachenet.md``) sets it, and its ``disk_entries``/
-    ``disk_bytes`` then max-merge even under ``distinct_caches=True`` — every
-    worker reports the same shared tier, and summing it once per worker would
-    multiply the fleet's footprint by the worker count.  ``memo_entries``
-    stays per-process (each worker's memo really is distinct) and still sums.
+    * counters and ``memo_entries`` sum — each process owns its memo;
+    * ``oldest_age_seconds`` takes the max — the fleet's oldest entry is the
+      oldest anywhere;
+    * ``shared_gauges`` ORs.  A snapshot whose *storage* is shared across
+      processes (the shared-directory backend, the network cache tier of
+      ``docs/cachenet.md``) sets it;
+    * ``disk_entries``/``disk_bytes`` take the max when either side is
+      shared storage — every worker reports the same shared tier, and
+      summing it once per worker would multiply the fleet's footprint — and
+      sum otherwise, because distinct caches each own their footprint.
     """
 
     hits: int = 0
     misses: int = 0
     stores: int = 0
     errors: int = 0
-    disk_entries: int = 0
-    disk_bytes: int = 0
+    disk_entries: int = merged_by(storage)
+    disk_bytes: int = merged_by(storage)
     memo_entries: int = 0
-    oldest_age_seconds: float = 0.0
-    shared_gauges: bool = False
-
-    def merge(self, other: "CacheStats | dict", distinct_caches: bool = False) -> None:
-        """Accumulate counters (and max- or sum-merge gauges) from ``other``."""
-        if isinstance(other, CacheStats):
-            other = other.as_dict()
-        self.hits += other.get("hits", 0)
-        self.misses += other.get("misses", 0)
-        self.stores += other.get("stores", 0)
-        self.errors += other.get("errors", 0)
-        shared = self.shared_gauges or bool(other.get("shared_gauges", False))
-        gauge = (
-            (lambda mine, theirs: mine + theirs)
-            if distinct_caches and not shared
-            else max
-        )
-        self.disk_entries = gauge(self.disk_entries, other.get("disk_entries", 0))
-        self.disk_bytes = gauge(self.disk_bytes, other.get("disk_bytes", 0))
-        memo = (lambda mine, theirs: mine + theirs) if distinct_caches else max
-        self.memo_entries = memo(self.memo_entries, other.get("memo_entries", 0))
-        self.shared_gauges = shared
-        # Entry age is a maximum in both modes: ages never add up across
-        # caches, the fleet's oldest entry is simply the oldest anywhere.
-        self.oldest_age_seconds = max(
-            self.oldest_age_seconds, other.get("oldest_age_seconds", 0.0)
-        )
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "errors": self.errors,
-            "disk_entries": self.disk_entries,
-            "disk_bytes": self.disk_bytes,
-            "memo_entries": self.memo_entries,
-            "oldest_age_seconds": self.oldest_age_seconds,
-            "shared_gauges": self.shared_gauges,
-        }
+    oldest_age_seconds: float = merged_by(maximum, 0.0)
+    shared_gauges: bool = merged_by(either, False)
 
 
 class ResultCache:
@@ -276,19 +235,24 @@ class ResultCache:
                 payload[key] = value
         return payload
 
-    def snapshot(self) -> CacheStats:
-        """This cache's counters plus current state gauges (see CacheStats)."""
-        snapshot = CacheStats()
-        snapshot.merge(self.stats)
+    def gauges(self) -> CacheStats:
+        """This cache's current state gauges, with zero counters (see CacheStats)."""
         usage = self.usage()
-        snapshot.disk_entries = usage["entries"] if self.persistent else 0
-        snapshot.disk_bytes = usage["disk_bytes"]
-        snapshot.memo_entries = usage["memo_entries"]
-        snapshot.oldest_age_seconds = usage["oldest_age_seconds"] or 0.0
-        # Shared storage (shared directory, remote tier) is reported by every
-        # process that mounts it; mark the gauges so fleet merges don't count
-        # the same bytes once per worker (see CacheStats).
-        snapshot.shared_gauges = self.enabled and self.backend.shared
+        return CacheStats(
+            disk_entries=usage["entries"] if self.persistent else 0,
+            disk_bytes=usage["disk_bytes"],
+            memo_entries=usage["memo_entries"],
+            oldest_age_seconds=usage["oldest_age_seconds"] or 0.0,
+            # Shared storage (shared directory, remote tier) is reported by
+            # every process that mounts it; the flag keeps fleet merges from
+            # counting the same bytes once per worker.
+            shared_gauges=self.enabled and self.backend.shared,
+        )
+
+    def snapshot(self) -> CacheStats:
+        """This cache's counters plus its current state gauges."""
+        snapshot = self.gauges()
+        snapshot.merge(self.stats)
         return snapshot
 
     def gc(

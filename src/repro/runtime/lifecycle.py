@@ -22,11 +22,13 @@ globbing.  This module adds the lifecycle layer around that directory:
 
 Concurrency: the manifest is written atomically (temp file + rename) and
 every save first merges the copy on disk, so concurrent processes appending
-entries to one shared cache directory keep each other's bookkeeping.  The
-read-merge-replace is not transactional — a record can still lose a race —
-but every loss self-heals: an unindexed entry is re-indexed the next time it
-is read, a record whose file was removed behind our back is dropped at the
-next save, and a missing/corrupted manifest is rebuilt outright.  Last-used
+entries to one shared cache directory keep each other's bookkeeping.  On
+POSIX the read-merge-replace holds an exclusive ``flock`` on the directory,
+so two processes storing at the same moment cannot drop each other's
+records.  Where no lock is available a record can lose that race, and every
+loss self-heals: an unindexed entry is re-indexed the next time it is read,
+a record whose file was removed behind our back is dropped at the next save,
+and a missing/corrupted manifest is rebuilt outright.  Last-used
 timestamps are also mirrored into file mtimes, which is what a rebuild falls
 back to, so LRU order survives (approximately) even across a manifest loss.
 ``docs/runtime.md`` documents the on-disk layout and the GC policy.
@@ -34,6 +36,7 @@ back to, so LRU order survives (approximately) even across a manifest loss.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import json
 import os
@@ -42,6 +45,11 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+
+try:
+    import fcntl
+except ImportError:  # not POSIX: manifest saves run unlocked
+    fcntl = None
 
 __all__ = [
     "COMPRESSED_SUFFIX",
@@ -197,6 +205,22 @@ class GCResult:
         )
 
 
+@contextlib.contextmanager
+def _directory_lock(directory: Path):
+    """Hold an exclusive advisory lock on ``directory`` across processes."""
+    try:
+        descriptor = os.open(directory, os.O_RDONLY)
+    except OSError:  # no directory yet: the save fails (and is swallowed) anyway
+        descriptor = None
+    try:
+        if descriptor is not None and fcntl is not None:
+            fcntl.flock(descriptor, fcntl.LOCK_EX)
+        yield
+    finally:
+        if descriptor is not None:
+            os.close(descriptor)
+
+
 class CacheManifest:
     """Persistent, incrementally-maintained index of one cache directory.
 
@@ -295,28 +319,29 @@ class CacheManifest:
         is bookkeeping, and a rebuild recovers it.
         """
         assert self._entries is not None
-        disk = self._read_file() or {}
-        for key, meta in disk.items():
-            if key not in self._removed and key not in self._entries:
-                self._entries[key] = meta
-        for key in [key for key in self._entries if key not in disk]:
-            if find_entry(self.directory, key) is None:
-                del self._entries[key]
-        payload = {"schema": MANIFEST_SCHEMA, "entries": self._entries}
-        tmp_name = None
-        try:
-            descriptor, tmp_name = tempfile.mkstemp(
-                dir=self.directory, prefix=".manifest-", suffix=".tmp"
-            )
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True)
-            os.replace(tmp_name, self.path)
-        except OSError:
-            if tmp_name is not None:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
+        with _directory_lock(self.directory):
+            disk = self._read_file() or {}
+            for key, meta in disk.items():
+                if key not in self._removed and key not in self._entries:
+                    self._entries[key] = meta
+            for key in [key for key in self._entries if key not in disk]:
+                if find_entry(self.directory, key) is None:
+                    del self._entries[key]
+            payload = {"schema": MANIFEST_SCHEMA, "entries": self._entries}
+            tmp_name = None
+            try:
+                descriptor, tmp_name = tempfile.mkstemp(
+                    dir=self.directory, prefix=".manifest-", suffix=".tmp"
+                )
+                with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
+                    json.dump(payload, handle, sort_keys=True)
+                os.replace(tmp_name, self.path)
+            except OSError:
+                if tmp_name is not None:
+                    try:
+                        os.unlink(tmp_name)
+                    except OSError:
+                        pass
         self._dirty = False
         self._last_save = time.monotonic()
 

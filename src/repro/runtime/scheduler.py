@@ -28,9 +28,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.sweep import SweepStats
 from repro.experiments.base import ExperimentResult, Preset, get_preset
-from repro.runtime.cache import CacheStats
 from repro.runtime.engine import analyze, simulate
 from repro.runtime.jobs import (
     ExperimentJob,
@@ -42,13 +40,10 @@ from repro.runtime.jobs import (
 from repro.runtime.session import (
     RunStats,
     RuntimeSession,
-    ResultCache,
-    configure_session,
+    build_session,
     current_session,
-    resolve_trace_dir,
     use_session,
 )
-from repro.runtime.trace_store import TraceStore
 
 __all__ = ["RunReport", "run_experiments"]
 
@@ -95,6 +90,10 @@ class RunReport:
 
 
 # --------------------------------------------------------------------- workers
+#: The pool worker's session, built once per process by :func:`_init_worker`.
+_WORKER_SESSION: RuntimeSession | None = None
+
+
 def _init_worker(
     cache_dir: str | None,
     no_cache: bool,
@@ -103,7 +102,8 @@ def _init_worker(
     cache_backend: str | None = None,
 ) -> None:
     """Pool initializer: give the worker process its own configured session."""
-    configure_session(
+    global _WORKER_SESSION
+    _WORKER_SESSION = build_session(
         cache_dir=cache_dir,
         no_cache=no_cache,
         trace_dir=trace_dir,
@@ -126,50 +126,27 @@ def _session_trace_config(session: RuntimeSession) -> tuple[str | None, bool]:
     return str(artifacts.directory), False
 
 
-def _reset_job_stats(session: RuntimeSession) -> None:
-    """Zero the session counters so the next job reports only its own work."""
-    session.cache.stats = CacheStats()
-    session.sweep_stats = SweepStats()
-    session.traces.builds = 0
-    session.traces.reuses = 0
-    artifacts = getattr(session.traces, "artifacts", None)
-    if artifacts is not None:
-        # Fabric counters are process-lifetime; without a reset every job a
-        # pool worker runs would re-report its predecessors' builds and maps.
-        artifacts.reset_counters()
-
-
 def _execute_job(
     job: SimulationJob | StatisticsJob | ExperimentJob,
 ) -> tuple[str, ExperimentResult | None, dict]:
-    """Run one job in the worker's session; returns (job id, result, stats delta)."""
-    session = current_session()
-    _reset_job_stats(session)
-    result: ExperimentResult | None = None
-    if isinstance(job, SimulationJob):
-        simulate(job.request, session=session)
-    elif isinstance(job, StatisticsJob):
-        analyze(job.request, session=session)
-    else:
-        from repro.experiments.runner import run_experiment
+    """Run one job in the worker's session; returns (job id, result, stats delta).
 
-        result = run_experiment(job.experiment, preset=job.preset, seed=job.seed)
-    return job.job_id, result, session.stats().as_dict()
-
-
-def _stats_delta(end: dict, start: dict) -> dict:
-    """Counter-wise ``end - start`` over nested stats dicts.
-
-    Runs may execute inside a long-lived session; the report must describe
-    this run only, not the session's lifetime totals.
+    A worker runs many jobs in one long-lived session, so each reports only
+    the counts gained while it ran.
     """
-    delta: dict = {}
-    for key, value in end.items():
-        if isinstance(value, dict):
-            delta[key] = _stats_delta(value, start.get(key, {}))
+    session = _WORKER_SESSION
+    start = session.stats()
+    result: ExperimentResult | None = None
+    with use_session(session):
+        if isinstance(job, SimulationJob):
+            simulate(job.request, session=session)
+        elif isinstance(job, StatisticsJob):
+            analyze(job.request, session=session)
         else:
-            delta[key] = value - start.get(key, 0)
-    return delta
+            from repro.experiments.runner import run_experiment
+
+            result = run_experiment(job.experiment, preset=job.preset, seed=job.seed)
+    return job.job_id, result, session.stats().minus(start).as_dict()
 
 
 # ------------------------------------------------------------------ execution
@@ -265,47 +242,22 @@ def run_experiments(
         Forwarded to every experiment.
     jobs:
         Worker processes; ``1`` (the default) runs serially in-process.
-    cache_dir:
-        Directory of the shared on-disk result cache; when neither ``cache_dir``
-        nor ``no_cache`` is given the run uses the caller's active session (so a
-        cache installed with :func:`~repro.runtime.session.configure_session`
-        is honored).
-    no_cache:
-        Disable result caching entirely.
-    trace_dir, no_trace_cache:
-        Control the zero-copy trace fabric independently of result caching
-        (see :func:`~repro.runtime.session.resolve_trace_dir`); only honored
-        when this call builds its own session (``cache_dir``/``no_cache``
-        given), otherwise the caller's session wiring stands.
-    cache_backend:
-        ``--cache-backend`` URI spec (e.g. ``remote://host:port``) selecting
-        the result-tier backend instead of ``cache_dir``; resolved by
-        :func:`repro.cachenet.backend.resolve_backend` and re-resolved in
-        every pool worker (a backend instance cannot cross a process spawn).
+    cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend:
+        When ``cache_dir``, ``no_cache`` or ``cache_backend`` is given, the
+        run gets its own session from
+        :func:`~repro.runtime.session.build_session`; otherwise it uses the
+        caller's active session (so one installed with
+        :func:`~repro.runtime.session.use_session` is honored).  Pool workers
+        rebuild the session from the same settings: a ``cache_backend`` must
+        be a spec, since a backend instance cannot cross a process spawn.
     """
     preset = get_preset(preset)
     started = time.perf_counter()
     if no_cache or cache_dir is not None or cache_backend is not None:
-        if no_cache:
-            cache = ResultCache.disabled()
-        elif cache_backend is not None:
-            from repro.cachenet.backend import resolve_backend
-
-            cache = ResultCache(backend=resolve_backend(cache_backend))
-        else:
-            cache = ResultCache(directory=cache_dir)
-        resolved = resolve_trace_dir(
-            None if no_cache else cache_dir, trace_dir, no_trace_cache
-        )
-        traces = None
-        if resolved is not None:
-            from repro.runtime.trace_cache import TraceArtifactStore
-
-            traces = TraceStore(artifacts=TraceArtifactStore(resolved))
-        session = RuntimeSession(cache=cache, traces=traces)
+        session = build_session(cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend)
     else:
         session = current_session()
-    session_stats_before = session.stats().as_dict()
+    start = session.stats()
     stats = RunStats()
     mode = "serial"
     plan = build_plan(names, preset, seed, session)
@@ -342,10 +294,10 @@ def run_experiments(
     else:
         results = _run_serial(names, preset, seed, session)
 
-    stats.merge(_stats_delta(session.stats().as_dict(), session_stats_before))
-    if mode == "parallel" and getattr(session.cache, "manifest", None) is not None:
+    stats.merge(session.stats().minus(start))
+    if mode == "parallel" and session.cache.manifest is not None:
         session.cache.manifest.refresh()  # pool workers wrote the shared index
-    usage = session.cache.usage() if hasattr(session.cache, "usage") else {}
+    usage = session.cache.usage()
     return RunReport(
         results=results,
         stats=stats,

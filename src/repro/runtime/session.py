@@ -1,18 +1,18 @@
 """The runtime session: cache + trace store + stats, and the active session.
 
 Experiments do not thread runtime handles through their signatures — they ask
-for :func:`current_session` and the runtime configures it once per process
-(the CLI at startup, the scheduler in each pool worker, tests through
-:func:`use_session`/:func:`isolated_session`).  The default session uses an
-in-memory cache, so importing ``repro`` and calling ``fig9.run()`` never
-touches the filesystem.
+for :func:`current_session`.  Sessions are made by one builder,
+:func:`build_session` (the CLI's run, each scheduler pool worker, the serve
+and cluster processes); tests use :func:`use_session`/:func:`isolated_session`.
+The default session uses an in-memory cache, so importing ``repro`` and
+calling ``fig9.run()`` never touches the filesystem.
 
 Session activation is *thread-scoped*: :func:`use_session` installs a session
-on the calling thread only, while :func:`configure_session` replaces the
-process-wide default every thread falls back to.  This is what lets the serve
-layer (:mod:`repro.serve`) execute concurrent jobs on worker threads, each
-under its own per-request stats view of one shared session.  See
-``docs/runtime.md`` for the full session model.
+on the calling thread only, and threads without an override fall back to the
+process-wide default.  This is what lets the serve layer
+(:mod:`repro.serve`) execute concurrent jobs on worker threads, each under its
+own per-request stats view of one shared session.  See ``docs/runtime.md``
+for the full session model.
 """
 
 from __future__ import annotations
@@ -23,16 +23,19 @@ import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.counters import Counters
 from repro.core.progress import ProgressToken
 from repro.core.sweep import SweepStats
+from repro.runtime.backends import SharedDirectoryBackend
 from repro.runtime.cache import CacheStats, ResultCache
+from repro.runtime.trace_cache import FabricCounters, TraceArtifactStore, default_trace_dir
 from repro.runtime.trace_store import TraceStore
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
     "RunStats",
     "RuntimeSession",
-    "configure_session",
+    "build_session",
     "current_session",
     "default_cache_dir",
     "isolated_session",
@@ -53,63 +56,24 @@ def default_cache_dir() -> Path:
 
 
 @dataclass
-class RunStats:
-    """Aggregate statistics of one run (merged across pool workers).
-
-    The ``trace_*``/``traces_mapped`` fields are the zero-copy trace fabric's
-    counters (:meth:`repro.runtime.trace_cache.TraceArtifactStore.counters`):
-    full tensors generated vs. opened as read-only memory maps of host-shared
-    artifacts, the artifact bytes those opens shared, and calibration
-    bisections run vs. loaded from persisted results.  All are event counters,
-    so they sum in both merge modes.
-    """
+class _SessionCounters(Counters):
+    """What a session counts itself: the head of the :class:`RunStats` wire form."""
 
     cache: CacheStats = field(default_factory=CacheStats)
     sweep: SweepStats = field(default_factory=SweepStats)
     traces_built: int = 0
     traces_reused: int = 0
-    trace_tensors_built: int = 0
-    traces_mapped: int = 0
-    trace_bytes_shared: int = 0
-    trace_calibrations_computed: int = 0
-    trace_calibrations_loaded: int = 0
 
-    #: Trace-fabric event counters (plain sums under merge).
-    _FABRIC_COUNTERS = (
-        "trace_tensors_built",
-        "traces_mapped",
-        "trace_bytes_shared",
-        "trace_calibrations_computed",
-        "trace_calibrations_loaded",
-    )
 
-    def merge(self, other: "RunStats | dict", distinct_caches: bool = False) -> None:
-        """Accumulate ``other`` into this object.
+@dataclass
+class RunStats(FabricCounters, _SessionCounters):
+    """Aggregate statistics of one run (merged across pool workers, serve
+    requests and cluster workers).
 
-        ``distinct_caches=True`` sum-merges the cache *gauges* instead of
-        max-merging them — required when the merged snapshots describe
-        different caches (one per cluster worker) rather than several views
-        of one shared cache (see :meth:`CacheStats.merge`).
-        """
-        if isinstance(other, RunStats):
-            other = other.as_dict()
-        self.cache.merge(other.get("cache", {}), distinct_caches=distinct_caches)
-        self.sweep.merge(other.get("sweep", {}))
-        self.traces_built += other.get("traces_built", 0)
-        self.traces_reused += other.get("traces_reused", 0)
-        for name in self._FABRIC_COUNTERS:
-            setattr(self, name, getattr(self, name) + other.get(name, 0))
-
-    def as_dict(self) -> dict:
-        payload = {
-            "cache": self.cache.as_dict(),
-            "sweep": self.sweep.as_dict(),
-            "traces_built": self.traces_built,
-            "traces_reused": self.traces_reused,
-        }
-        for name in self._FABRIC_COUNTERS:
-            payload[name] = getattr(self, name)
-        return payload
+    The session's own counters come first on the wire, then the trace
+    fabric's :class:`~repro.runtime.trace_cache.FabricCounters`.  Every
+    field merges by the rule its class declares (:mod:`repro.core.counters`).
+    """
 
     def summary(self) -> str:
         """One-line, human-readable rendering for run summaries."""
@@ -156,17 +120,14 @@ class RuntimeSession:
 
     def stats(self) -> RunStats:
         """Snapshot of this session's counters."""
-        stats = RunStats()
+        stats = RunStats(traces_built=self.traces.builds, traces_reused=self.traces.reuses)
         stats.cache.merge(self.cache.stats)
         stats.sweep.merge(self.sweep_stats)
-        stats.traces_built = self.traces.builds
-        stats.traces_reused = self.traces.reuses
         # Trace-fabric counters live on the shared artifact store; per-job
         # stats views (serve's _TraceView) have no ``artifacts`` and report 0.
         artifacts = getattr(self.traces, "artifacts", None)
         if artifacts is not None:
-            for name, value in artifacts.counters().items():
-                setattr(stats, name, value)
+            stats.merge(artifacts.counters())
         return stats
 
 
@@ -205,48 +166,49 @@ def resolve_trace_dir(
     if trace_dir is not None:
         return Path(trace_dir).expanduser()
     if cache_dir is not None:
-        from repro.runtime.trace_cache import default_trace_dir
-
         return default_trace_dir(cache_dir)
     return None
 
 
-def configure_session(
+def build_session(
     cache_dir: str | Path | None = None,
     no_cache: bool = False,
     trace_dir: str | Path | None = None,
     no_trace_cache: bool = False,
     cache_backend: object | None = None,
+    shared: bool = False,
 ) -> RuntimeSession:
-    """Install (and return) a fresh process-wide default session.
+    """A fresh session: a result cache plus, when wired, the trace fabric.
 
-    ``cache_dir`` selects the shared on-disk cache; ``None`` keeps the cache
-    in memory.  ``no_cache`` disables result caching entirely.
-    ``cache_backend`` overrides ``cache_dir`` for the *result* tier: a
+    ``cache_dir`` selects the on-disk result cache; ``None`` keeps it in
+    memory, and ``no_cache`` disables result caching entirely.
+    ``cache_backend`` overrides ``cache_dir`` for the result tier: a
     ``--cache-backend`` URI spec (e.g. ``remote://host:port``) or a
     :class:`~repro.runtime.backends.CacheBackend` instance, resolved by
-    :func:`repro.cachenet.backend.resolve_backend` (``docs/cachenet.md``);
-    the trace fabric still resolves against ``cache_dir``.  ``trace_dir``/
-    ``no_trace_cache`` control the zero-copy trace fabric independently (see
-    :func:`resolve_trace_dir` for the resolution rule).
+    :func:`repro.cachenet.backend.resolve_backend` (``docs/cachenet.md``).
+    ``shared`` stores a ``cache_dir`` through the
+    :class:`~repro.runtime.backends.SharedDirectoryBackend`, which long-lived
+    sibling processes (cluster workers) need to see each other's stores.
+
+    The trace fabric resolves by :func:`resolve_trace_dir` against
+    ``cache_dir`` (unless ``no_cache``), ``trace_dir`` and
+    ``no_trace_cache``: by default a ``traces/`` directory beside a disk
+    cache, so every process on the host maps one physical copy of each trace
+    tensor.
     """
-    global _DEFAULT
     if no_cache:
         cache = ResultCache.disabled()
     elif cache_backend is not None:
         from repro.cachenet.backend import resolve_backend
 
         cache = ResultCache(backend=resolve_backend(cache_backend))
+    elif shared and cache_dir is not None:
+        cache = ResultCache(backend=SharedDirectoryBackend(cache_dir))
     else:
         cache = ResultCache(directory=cache_dir)
-    resolved = resolve_trace_dir(cache_dir, trace_dir, no_trace_cache)
-    traces = None
-    if resolved is not None:
-        from repro.runtime.trace_cache import TraceArtifactStore
-
-        traces = TraceStore(artifacts=TraceArtifactStore(resolved))
-    _DEFAULT = RuntimeSession(cache=cache, traces=traces)
-    return _DEFAULT
+    resolved = resolve_trace_dir(None if no_cache else cache_dir, trace_dir, no_trace_cache)
+    traces = None if resolved is None else TraceStore(artifacts=TraceArtifactStore(resolved))
+    return RuntimeSession(cache=cache, traces=traces)
 
 
 @contextlib.contextmanager

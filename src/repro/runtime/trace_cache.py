@@ -43,6 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.counters import Counters
 from repro.nn.traces import TraceBacking
 from repro.runtime import lifecycle
 from repro.runtime.fingerprint import calibration_key, trace_tensor_key
@@ -50,6 +51,7 @@ from repro.runtime.fingerprint import calibration_key, trace_tensor_key
 __all__ = [
     "CALIBRATION_SAMPLES",
     "CALIBRATION_SEED",
+    "FabricCounters",
     "TRACES_SUBDIR",
     "MmapTraceBacking",
     "TraceArtifactStore",
@@ -71,6 +73,23 @@ def default_trace_dir(cache_dir: str | Path) -> Path:
     return Path(cache_dir).expanduser() / TRACES_SUBDIR
 
 
+@dataclasses.dataclass
+class FabricCounters(Counters):
+    """The fabric's event counters, under their wire names.
+
+    Full tensors generated vs. opened as read-only memory maps of host-shared
+    artifacts, the artifact bytes those opens shared instead of duplicating,
+    and calibration bisections run vs. loaded from persisted results.
+    :class:`~repro.runtime.session.RunStats` carries the same fields.
+    """
+
+    trace_tensors_built: int = 0
+    traces_mapped: int = 0
+    trace_bytes_shared: int = 0
+    trace_calibrations_computed: int = 0
+    trace_calibrations_loaded: int = 0
+
+
 class TraceArtifactStore:
     """Per-host artifact store of trace tensors and persisted calibrations.
 
@@ -79,16 +98,9 @@ class TraceArtifactStore:
     docstring for the publication protocol).  ``max_bytes``/``max_age`` are
     enforced on each :meth:`gc` call, mirroring ``CacheManifest.gc``.
 
-    Counters (read via :meth:`counters`, surfaced as session stats):
-
-    * ``tensors_built`` — full tensors this process generated and published;
-    * ``tensors_mapped`` — read-only mmap opens of an existing artifact
-      (``traces_mapped`` in :class:`~repro.runtime.session.RunStats`);
-    * ``bytes_mapped`` — artifact bytes those opens shared instead of
-      duplicating (``trace_bytes_shared``);
-    * ``calibrations_computed`` / ``calibrations_loaded`` — bisections run
-      vs. persisted results reused;
-    * ``errors`` — corrupt or unwritable artifacts (degraded to in-memory).
+    :meth:`counters` snapshots the process's :class:`FabricCounters`;
+    ``errors`` counts corrupt or unwritable artifacts (degraded to
+    in-memory).
     """
 
     def __init__(
@@ -103,11 +115,7 @@ class TraceArtifactStore:
         self.max_bytes = max_bytes
         self.max_age = max_age
         self._lock = threading.Lock()
-        self.tensors_built = 0
-        self.tensors_mapped = 0
-        self.bytes_mapped = 0
-        self.calibrations_computed = 0
-        self.calibrations_loaded = 0
+        self.counts = FabricCounters()
         self.errors = 0
 
     # ----------------------------------------------------------------- tensors
@@ -131,7 +139,7 @@ class TraceArtifactStore:
         if size is None:
             return values  # unwritable directory: degrade to private memory
         with self._lock:
-            self.tensors_built += 1
+            self.counts.trace_tensors_built += 1
         self.manifest.record_store(key, "trace_tensor", size)
         tensor = self._open(key, path)
         return tensor if tensor is not None else values
@@ -153,8 +161,8 @@ class TraceArtifactStore:
             self.manifest.record_remove(key)
             return None
         with self._lock:
-            self.tensors_mapped += 1
-            self.bytes_mapped += size
+            self.counts.traces_mapped += 1
+            self.counts.trace_bytes_shared += size
         return tensor
 
     def _publish(self, key: str, path: Path, values: np.ndarray) -> int | None:
@@ -208,7 +216,7 @@ class TraceArtifactStore:
                 self.manifest.record_remove(key)
             else:
                 with self._lock:
-                    self.calibrations_loaded += 1
+                    self.counts.trace_calibrations_loaded += 1
                 self.manifest.record_use(key)
                 return calibration
         calibration = calibrate_network(
@@ -220,7 +228,7 @@ class TraceArtifactStore:
             dense_first_layer=spec.dense_first_layer,
         )
         with self._lock:
-            self.calibrations_computed += 1
+            self.counts.trace_calibrations_computed += 1
         try:
             size = lifecycle.write_entry(
                 self.directory, key, {"calibration": dataclasses.asdict(calibration)}
@@ -263,24 +271,9 @@ class TraceArtifactStore:
 
     # -------------------------------------------------------------- observation
     def counters(self) -> dict:
-        """Snapshot of the fabric counters (the session stats overlay)."""
+        """Wire form of this process's :class:`FabricCounters`."""
         with self._lock:
-            return {
-                "trace_tensors_built": self.tensors_built,
-                "traces_mapped": self.tensors_mapped,
-                "trace_bytes_shared": self.bytes_mapped,
-                "trace_calibrations_computed": self.calibrations_computed,
-                "trace_calibrations_loaded": self.calibrations_loaded,
-            }
-
-    def reset_counters(self) -> None:
-        """Zero the per-process counters (scheduler per-job stats deltas)."""
-        with self._lock:
-            self.tensors_built = 0
-            self.tensors_mapped = 0
-            self.bytes_mapped = 0
-            self.calibrations_computed = 0
-            self.calibrations_loaded = 0
+            return self.counts.as_dict()
 
     def usage(self) -> dict:
         """Current artifact-tier state, split by kind (manifest-backed)."""

@@ -32,7 +32,7 @@ import os
 import sys
 
 from repro.experiments.base import parse_age, parse_endpoint, parse_size
-from repro.runtime.session import default_cache_dir, resolve_trace_dir
+from repro.runtime.session import build_session, default_cache_dir, resolve_trace_dir
 
 __all__ = ["main"]
 
@@ -51,16 +51,17 @@ async def _run_worker(args) -> int:
     to learn the bound endpoint, then connects, authenticates and registers
     (see ``docs/cluster.md``).
     """
-    from repro.cluster.worker import WorkerService, worker_session
+    from repro.cluster.worker import WorkerService
 
     cache_dir = args.cache_dir or default_cache_dir()
     try:
         service = WorkerService(
-            session=worker_session(
+            session=build_session(
                 cache_dir,
                 trace_dir=args.trace_dir,
                 no_trace_cache=args.no_trace_cache,
                 cache_backend=args.cache_backend,
+                shared=True,
             ),
             workers=args.workers,
             auth_token=args.auth_token,

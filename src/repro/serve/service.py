@@ -29,8 +29,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.runtime import ResultCache, RunStats, RuntimeSession
-from repro.runtime.session import resolve_trace_dir
+from repro.runtime import RunStats, RuntimeSession
+from repro.runtime.session import build_session
 from repro.serve.protocol import (
     CONTROL_OPS,
     JOB_OPS,
@@ -81,15 +81,16 @@ class ExperimentService:
 
     Parameters
     ----------
-    cache_dir:
-        Directory of the shared on-disk result cache; ``None`` keeps the warm
-        cache in memory (still shared across every request of this service).
-    no_cache:
-        Disable result caching entirely (each request recomputes).
+    cache_dir / no_cache / trace_dir / no_trace_cache / cache_backend:
+        Build the served session with
+        :func:`~repro.runtime.session.build_session`: the result cache
+        (``None`` keeps it in memory, still shared across every request of
+        this service) and the zero-copy trace fabric.  Ignored when an
+        explicit ``session`` is supplied.
     workers:
         Bound on concurrently executing jobs.
     session:
-        Pre-built session to serve from (overrides ``cache_dir``/``no_cache``).
+        Pre-built session to serve from.
     gc_interval:
         Period, in seconds, of the automatic background garbage collection of
         the shared disk cache.  ``None`` (default) disables the task; when
@@ -107,17 +108,6 @@ class ExperimentService:
     executor:
         Override for how jobs execute (see :class:`~repro.serve.workers.WorkerPool`);
         the cluster coordinator substitutes its sharding dispatcher here.
-    trace_dir / no_trace_cache:
-        Control the zero-copy trace fabric (host-shared mmap-backed trace
-        artifacts, :mod:`repro.runtime.trace_cache`) independently of result
-        caching; defaults to ``<cache-dir>/traces`` beside a disk cache
-        (see :func:`~repro.runtime.session.resolve_trace_dir`).  Ignored when
-        an explicit ``session`` is supplied.
-    cache_backend:
-        ``--cache-backend`` URI spec (or a backend instance) selecting the
-        result tier instead of ``cache_dir`` — e.g. ``remote://host:port``
-        for the network cache tier (``docs/cachenet.md``).  The trace fabric
-        still resolves against ``cache_dir``.
     """
 
     #: Wire ops this service parses into queue jobs (subclasses may extend).
@@ -139,23 +129,7 @@ class ExperimentService:
         cache_backend: object | None = None,
     ) -> None:
         if session is None:
-            if no_cache:
-                cache = ResultCache.disabled()
-            elif cache_backend is not None:
-                from repro.cachenet.backend import resolve_backend
-
-                cache = ResultCache(backend=resolve_backend(cache_backend))
-            else:
-                cache = ResultCache(directory=cache_dir)
-            resolved = resolve_trace_dir(
-                None if no_cache else cache_dir, trace_dir, no_trace_cache
-            )
-            traces = None
-            if resolved is not None:
-                from repro.runtime import TraceArtifactStore, TraceStore
-
-                traces = TraceStore(artifacts=TraceArtifactStore(resolved))
-            session = RuntimeSession(cache=cache, traces=traces)
+            session = build_session(cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend)
         self.session = session
         self.auth_token = auth_token
         self.queue = RequestQueue()
@@ -186,12 +160,7 @@ class ExperimentService:
         """Start the worker pool and the background GC task (idempotent)."""
         await self.pool.start()
         self._started = True
-        if (
-            self.gc_interval is not None
-            and self._gc_task is None
-            and getattr(self.session.cache, "persistent", False)
-            and hasattr(self.session.cache, "gc")
-        ):
+        if self.gc_interval is not None and self._gc_task is None and self.session.cache.persistent:
             self._gc_task = asyncio.create_task(
                 self._gc_loop(), name="repro-serve-gc"
             )
@@ -317,37 +286,16 @@ class ExperimentService:
 
     def stats(self) -> dict:
         cache = self.session.cache
-        if hasattr(cache, "usage"):
-            usage = cache.usage()
-        else:  # a custom session may serve from a cache-like object
-            usage = {
-                "entries": len(cache),
-                "disk_bytes": 0,
-                "memo_entries": 0,
-                "oldest_age_seconds": None,
-                "lru_age_seconds": None,
-                "directory": (
-                    str(cache.directory) if getattr(cache, "directory", None) else None
-                ),
-            }
-        totals = RunStats()
+        usage = cache.usage()
+        # Lifetime counters plus the cache's current state gauges; the
+        # trace-fabric counters live on the shared artifact store (per-job
+        # views report 0 for them), so they fold in at their lifetime values.
+        totals = RunStats(cache=cache.gauges())
         totals.merge(self.totals)
-        if hasattr(cache, "snapshot"):
-            # Fold the current state gauges into the lifetime counters, so
-            # the wire payload's ``stats.cache`` carries disk usage and
-            # entry age alongside hits/misses (see CacheStats).
-            snap = cache.snapshot()
-            totals.cache.disk_entries = snap.disk_entries
-            totals.cache.disk_bytes = snap.disk_bytes
-            totals.cache.memo_entries = snap.memo_entries
-            totals.cache.oldest_age_seconds = snap.oldest_age_seconds
-        # Trace-fabric counters live on the shared artifact store (per-job
-        # views report 0 for them), so overlay the lifetime values here.
-        artifacts = getattr(self.session.traces, "artifacts", None)
+        artifacts = self.session.traces.artifacts
         trace_cache = None
         if artifacts is not None:
-            for name, value in artifacts.counters().items():
-                setattr(totals, name, value)
+            totals.merge(artifacts.counters())
             trace_cache = artifacts.usage()
         return {
             "event": "stats",
@@ -395,7 +343,7 @@ class ExperimentService:
     def collect_garbage(self, max_bytes: int | None = None, max_age: float | None = None) -> dict:
         """Garbage-collect the shared disk cache (the ``gc`` op)."""
         cache = self.session.cache
-        if not getattr(cache, "persistent", False) or not hasattr(cache, "gc"):
+        if not cache.persistent:
             return {"event": "error", "error": "no disk cache to garbage-collect"}
         result = cache.gc(max_bytes=max_bytes, max_age=max_age)
         return {

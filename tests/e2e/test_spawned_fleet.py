@@ -20,7 +20,7 @@ import pytest
 from repro.cachenet.backend import RemoteBackend
 from repro.cachenet.server import CacheServer
 from repro.cluster import ClusterService
-from repro.runtime import TraceArtifactStore
+from repro.runtime import ResultCache, TraceArtifactStore
 from repro.serve import ServeClient
 from repro.serve.protocol import parse_request
 
@@ -134,6 +134,11 @@ def test_trace_fabric_builds_each_artifact_once(fleet):
         # maps the shared artifacts instead of rebuilding them.
         assert counters["trace_calibrations_computed"] == usage["calibrations"]
         assert counters["trace_tensors_built"] == usage["tensors"]
+        # Both workers mount one shared directory: the fleet counts its
+        # entries once, not once per worker.
+        assert counters["cache"]["shared_gauges"] is True
+        shared = ResultCache(directory=payload["cluster"]["cache_dir"])
+        assert counters["cache"]["disk_entries"] == len(shared)
 
     fleet.run(scenario())
 

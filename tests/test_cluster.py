@@ -21,7 +21,6 @@ from repro.cluster import (
     parse_internal_request,
     rendezvous_owner,
     rendezvous_rank,
-    worker_session,
 )
 from repro.cluster.plan import (
     simulation_request_from_wire,
@@ -31,7 +30,13 @@ from repro.cluster.plan import (
 )
 from repro.core.variants import fig9_variants
 from repro.experiments.base import get_preset
-from repro.runtime import SimulationRequest, StatisticsRequest, TraceSpec
+from repro.runtime import (
+    ResultCache,
+    SimulationRequest,
+    StatisticsRequest,
+    TraceSpec,
+    build_session,
+)
 from repro.serve.protocol import ExperimentRequest, ProtocolError
 from repro.serve.service import ConnectionContext
 
@@ -173,12 +178,12 @@ class TestPlanWireCodec:
 class TestWorkerService:
     def test_worker_requires_auth_token(self, tmp_path):
         with pytest.raises(ValueError):
-            WorkerService(session=worker_session(tmp_path))
+            WorkerService(session=build_session(tmp_path, shared=True))
 
     def test_internal_ops_gated_on_registration(self, tmp_path):
         async def scenario():
             service = WorkerService(
-                session=worker_session(tmp_path), workers=1, auth_token=TOKEN
+                session=build_session(tmp_path, shared=True), workers=1, auth_token=TOKEN
             )
             sent = []
             context = ConnectionContext(authenticated=True)  # authed, unregistered
@@ -201,7 +206,7 @@ class TestWorkerService:
     def test_unauthenticated_connection_rejected_before_queue(self, tmp_path):
         async def scenario():
             service = WorkerService(
-                session=worker_session(tmp_path), workers=1, auth_token=TOKEN
+                session=build_session(tmp_path, shared=True), workers=1, auth_token=TOKEN
             )
             sent = []
             context = ConnectionContext(authenticated=False)
@@ -244,7 +249,7 @@ class _Cluster:
         endpoints = []
         for _ in range(self.worker_count):
             service = WorkerService(
-                session=worker_session(self.cache_dir), workers=2, auth_token=TOKEN
+                session=build_session(self.cache_dir, shared=True), workers=2, auth_token=TOKEN
             )
             server = await service.serve_tcp("127.0.0.1", 0)
             endpoints.append(("127.0.0.1", server.sockets[0].getsockname()[1]))
@@ -437,6 +442,11 @@ class TestClusterExecution:
                 fleet = cluster_section["fleet"]
                 # The fleet section saw the simulations the workers ran.
                 assert fleet["sweep"]["configs_simulated"] == 5
+                # Both workers mount one shared directory: the fleet counts
+                # its entries once, not once per worker.
+                assert fleet["cache"]["shared_gauges"] is True
+                shared = ResultCache(directory=tmp_path / "cache")
+                assert fleet["cache"]["disk_entries"] == len(shared)
                 per_worker = cluster_section["per_worker_stats"]
                 assert set(per_worker) <= {"w0", "w1", "c0", "c1"}
 

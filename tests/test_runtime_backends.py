@@ -360,14 +360,6 @@ class TestNetworkCacheTier:
 
 
 class TestCacheStatsDistinctMerge:
-    def test_shared_cache_merge_takes_max_gauges(self):
-        total = CacheStats(disk_entries=10, disk_bytes=1000, memo_entries=5)
-        total.merge(CacheStats(hits=2, disk_entries=8, disk_bytes=900, memo_entries=7))
-        assert total.hits == 2
-        assert total.disk_entries == 10  # same cache: max, not sum
-        assert total.disk_bytes == 1000
-        assert total.memo_entries == 7
-
     def test_distinct_cache_merge_sums_gauges(self):
         total = CacheStats(disk_entries=10, disk_bytes=1000, memo_entries=5)
         total.merge(
@@ -377,8 +369,7 @@ class TestCacheStatsDistinctMerge:
                 disk_bytes=900,
                 memo_entries=7,
                 oldest_age_seconds=50.0,
-            ),
-            distinct_caches=True,
+            )
         )
         assert total.disk_entries == 18  # different caches: sum
         assert total.disk_bytes == 1900
@@ -391,9 +382,7 @@ class TestCacheStatsDistinctMerge:
 
         total = RunStats()
         total.cache.disk_entries = 4
-        total.merge(
-            {"cache": {"disk_entries": 3, "hits": 1}}, distinct_caches=True
-        )
+        total.merge({"cache": {"disk_entries": 3, "hits": 1}})
         assert total.cache.disk_entries == 7
         assert total.cache.hits == 1
 
@@ -414,8 +403,7 @@ class TestCacheStatsDistinctMerge:
                     disk_bytes=1000,
                     memo_entries=4,
                     shared_gauges=True,
-                ),
-                distinct_caches=True,
+                )
             )
         assert fleet.hits == 15  # counters always sum
         assert fleet.disk_entries == 10  # one shared tier, reported thrice
@@ -427,9 +415,7 @@ class TestCacheStatsDistinctMerge:
     def test_shared_gauges_infects_the_merge_target(self):
         """Once any snapshot is shared, later distinct merges stay max-mode."""
         fleet = CacheStats(disk_entries=10, disk_bytes=1000, shared_gauges=True)
-        fleet.merge(
-            CacheStats(disk_entries=8, disk_bytes=900), distinct_caches=True
-        )
+        fleet.merge(CacheStats(disk_entries=8, disk_bytes=900))
         assert fleet.disk_entries == 10
         assert fleet.disk_bytes == 1000
 

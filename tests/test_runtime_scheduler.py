@@ -199,6 +199,11 @@ class TestParallelExecution:
         )
         assert parallel.mode in ("parallel", "serial-fallback")
         assert parallel.results == serial.results
+        # Each pool job reports only its own work, so the run's counters
+        # match serial's instead of re-reporting a worker's earlier jobs.
+        assert parallel.stats.sweep.configs_simulated == serial.stats.sweep.configs_simulated
+        assert parallel.stats.cache.misses == serial.stats.cache.misses
+        assert parallel.stats.cache.stores == serial.stats.cache.stores
 
     def test_parallel_without_cache_matches_serial(self):
         serial = run_experiments(["table5"], preset=SMOKE, jobs=1, no_cache=True)

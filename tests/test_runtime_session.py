@@ -68,6 +68,47 @@ class TestRunStatsMerge:
         assert rebuilt.sweep.configs_simulated == 18
         assert rebuilt.traces_reused == 12
 
+    def test_wire_form_keys_are_pinned(self):
+        # perfbench, loadgen and CI read these names: same keys, same order.
+        wire = RunStats().as_dict()
+        assert list(wire) == [
+            "cache",
+            "sweep",
+            "traces_built",
+            "traces_reused",
+            "trace_tensors_built",
+            "traces_mapped",
+            "trace_bytes_shared",
+            "trace_calibrations_computed",
+            "trace_calibrations_loaded",
+        ]
+        assert list(wire["cache"]) == [
+            "hits",
+            "misses",
+            "stores",
+            "errors",
+            "disk_entries",
+            "disk_bytes",
+            "memo_entries",
+            "oldest_age_seconds",
+            "shared_gauges",
+        ]
+        assert list(wire["sweep"]) == ["configs_simulated", "drain_groups_computed"]
+
+    def test_minus_subtracts_counters_and_keeps_gauges(self):
+        start = stats_with(hits=2, sims=3, built=1)
+        end = stats_with(hits=5, sims=3, built=4)
+        end.trace_tensors_built = 2
+        end.cache.oldest_age_seconds = 9.0
+        end.cache.shared_gauges = True
+        delta = end.minus(start)
+        assert delta.cache.hits == 3
+        assert delta.sweep.configs_simulated == 0
+        assert delta.traces_built == 3
+        assert delta.trace_tensors_built == 2
+        assert delta.cache.oldest_age_seconds == 9.0
+        assert delta.cache.shared_gauges is True
+
     def test_summary_mentions_every_counter_family(self):
         text = stats_with(hits=1, sims=2, built=3).summary()
         assert "cache 1 hits" in text

@@ -289,13 +289,6 @@ class TestSessionWiring:
         assert wire["traces_mapped"] == stats.traces_mapped
         assert wire["trace_bytes_shared"] == stats.trace_bytes_shared
 
-    def test_reset_counters_zeroes_the_snapshot(self, tmp_path):
-        spec = TraceSpec(network="alexnet", seed=5)
-        artifacts, trace = _fabric_trace(tmp_path / "traces", spec)
-        trace.layer_input(0)
-        artifacts.reset_counters()
-        assert all(value == 0 for value in artifacts.counters().values())
-
     def test_mmap_backing_uses_trace_generator_as_builder(self, tmp_path):
         spec = TraceSpec(network="alexnet", seed=5)
         artifacts = TraceArtifactStore(tmp_path / "traces")
