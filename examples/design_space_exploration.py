@@ -28,6 +28,7 @@ from repro.energy.area import design_area
 from repro.energy.efficiency import design_efficiency
 from repro.energy.power import design_power
 from repro.runtime import (
+    SessionSpec,
     SimulationRequest,
     TraceSpec,
     build_session,
@@ -39,7 +40,7 @@ from repro.runtime import (
 
 def main(network: str = "vgg_m", cache_dir: str | None = None) -> None:
     # A cache dir persists simulation results so repeat explorations are instant.
-    with use_session(build_session(cache_dir=cache_dir)):
+    with use_session(build_session(SessionSpec(cache_dir=cache_dir))):
         explore(network)
 
 

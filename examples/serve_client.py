@@ -30,7 +30,7 @@ OVERRIDES = {"networks": ["alexnet"], "max_pallets": 2, "samples_per_layer": 150
 
 
 async def main() -> None:
-    service = ExperimentService(cache_dir=None, workers=2)
+    service = ExperimentService(workers=2)  # memory-only session
     async with service:
         server = await service.serve_tcp("127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]

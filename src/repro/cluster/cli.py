@@ -30,6 +30,7 @@ import os
 import sys
 
 from repro.experiments.base import parse_endpoint
+from repro.runtime.session import SessionSpec
 
 __all__ = ["main"]
 
@@ -46,13 +47,11 @@ def _cluster_service(args):
     return ClusterService(
         spawn_workers=args.workers,
         connect=args.connect,
-        cache_dir=args.cache_dir,
+        # No default directory: the coordinator makes a private one.
+        storage=SessionSpec.from_args(args),
         worker_processes=args.worker_processes,
         worker_token=args.worker_token,
         auth_token=args.auth_token,
-        trace_dir=args.trace_dir,
-        no_trace_cache=args.no_trace_cache,
-        cache_backend=args.cache_backend,
         max_jobs_per_worker=args.max_jobs_per_worker,
     )
 
@@ -106,7 +105,7 @@ async def _run_batch(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro cluster",
         description="Shard experiment execution across worker processes "
@@ -154,39 +153,12 @@ def main(argv: list[str] | None = None) -> int:
         help="concurrent jobs per spawned worker (default: 2)",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="shared result cache all workers mount (default: a private "
-        "temporary directory, removed on exit)",
-    )
-    parser.add_argument(
-        "--cache-backend",
-        default=None,
-        metavar="SPEC",
-        help="result-cache backend spec every worker mounts instead of the "
-        "shared directory (e.g. remote://HOST:PORT, docs/cachenet.md); "
-        "--cache-dir then only anchors the trace fabric",
-    )
-    parser.add_argument(
         "--max-jobs-per-worker",
         type=int,
         default=None,
         metavar="N",
         help="recycle a spawned worker (relaunch + re-register) after it "
         "completes N jobs, bounding per-process memory (default: never)",
-    )
-    parser.add_argument(
-        "--trace-dir",
-        default=None,
-        metavar="DIR",
-        help="trace-fabric artifact directory every worker shares "
-        "(default: <cache-dir>/traces)",
-    )
-    parser.add_argument(
-        "--no-trace-cache",
-        action="store_true",
-        help="disable the zero-copy trace fabric on every worker",
     )
     parser.add_argument(
         "--worker-token",
@@ -203,7 +175,17 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--preset", default="fast", help="preset for --run (default: fast)")
     parser.add_argument("--seed", type=int, default=0, help="seed for --run (default: 0)")
+    SessionSpec.add_arguments(
+        parser, cache_dir_default="a private temporary directory, removed on exit"
+    )
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
+    if args.no_cache:
+        parser.error("a cluster needs the shared cache (drop --no-cache)")
     if args.workers < 0:
         parser.error("--workers must be non-negative")
     if args.workers == 0 and not args.connect:

@@ -44,18 +44,18 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import json
 import os
 import secrets
 import shutil
 import sys
 import tempfile
-from pathlib import Path
 
 from repro.core.progress import SweepCancelled
 from repro.runtime import RunStats
 from repro.runtime.jobs import build_plan
-from repro.runtime.session import build_session, resolve_trace_dir
+from repro.runtime.session import SessionSpec, build_session
 from repro.serve.client import ServeClient
 from repro.serve.protocol import (
     ExperimentRequest,
@@ -216,16 +216,21 @@ class ClusterService(ExperimentService):
     ----------
     spawn_workers:
         Number of local worker processes to spawn on :meth:`start` (each is
-        ``python -m repro serve --worker`` sharing ``cache_dir``).
+        ``python -m repro serve --worker`` sharing ``storage``).
     connect:
         ``(host, port)`` endpoints of pre-started workers to attach
         (``repro cluster --connect``); they must share a cache backend with
         each other for cross-worker reuse to function.
-    cache_dir:
-        Shared cache directory.  ``None`` creates a private temporary
-        directory (removed on :meth:`stop`) — correct for a self-contained
-        local cluster, while a real deployment points every worker at one
-        shared path.
+    storage:
+        The :class:`~repro.runtime.session.SessionSpec` every spawned worker
+        gets as flags and the coordinator plans against, both through the
+        shared backend.  Without a ``cache_dir`` the cluster makes a private
+        temporary directory (removed on :meth:`stop`) — right for a
+        self-contained local cluster; a real deployment points every worker
+        at one shared path.  The trace fabric beside it makes N workers on a
+        host materialize each trace tensor once (``docs/cluster.md``); a
+        ``cache_backend`` (``docs/cachenet.md``) moves only the result tier.
+        ``no_cache`` is refused: workers exchange results through the cache.
     worker_processes:
         ``--workers`` passed to each spawned worker (its own job-execution
         bound).
@@ -239,18 +244,6 @@ class ClusterService(ExperimentService):
     auth_token:
         Optional client-facing shared secret (same semantics as
         ``repro serve --auth-token``).
-    trace_dir / no_trace_cache:
-        Trace-fabric wiring forwarded to every spawned worker (and the
-        coordinator's own planning session).  The default — a ``traces/``
-        directory beside the shared cache — is what makes N workers on one
-        host materialize each trace tensor exactly once and map it
-        read-only (``docs/cluster.md``).
-    cache_backend:
-        Optional ``--cache-backend`` spec (``remote://host:port``, see
-        ``docs/cachenet.md``) forwarded to every spawned worker and used for
-        the coordinator's own planning session.  The result tier then lives
-        in the network cache instead of the shared directory; ``cache_dir``
-        keeps anchoring the trace fabric only.
     max_jobs_per_worker:
         Recycle a spawned worker (terminate + relaunch + re-register) once
         it has completed this many jobs, bounding per-process memory growth
@@ -261,14 +254,11 @@ class ClusterService(ExperimentService):
         self,
         spawn_workers: int = 0,
         connect: list[tuple[str, int]] | None = None,
-        cache_dir: str | Path | None = None,
+        storage: SessionSpec = SessionSpec(),
         worker_processes: int = 2,
         concurrent_requests: int = 4,
         worker_token: str | None = None,
         auth_token: str | None = None,
-        trace_dir: str | Path | None = None,
-        no_trace_cache: bool = False,
-        cache_backend: str | None = None,
         max_jobs_per_worker: int | None = None,
     ) -> None:
         if spawn_workers < 0:
@@ -277,27 +267,21 @@ class ClusterService(ExperimentService):
             raise ValueError("a cluster needs spawned workers and/or --connect endpoints")
         if max_jobs_per_worker is not None and max_jobs_per_worker < 1:
             raise ValueError("max_jobs_per_worker must be positive")
-        self._own_cache_dir = cache_dir is None
-        if cache_dir is None:
-            cache_dir = tempfile.mkdtemp(prefix="repro-cluster-cache-")
+        if storage.no_cache:
+            raise ValueError("a cluster needs the shared cache (no_cache is unsupported)")
+        self._own_cache_dir = storage.cache_dir is None
+        if self._own_cache_dir:
+            storage = dataclasses.replace(
+                storage, cache_dir=tempfile.mkdtemp(prefix="repro-cluster-cache-")
+            )
         # The coordinator's own session exists to *plan* (cache probes prune
         # warm units) and must see the workers' stores: same shared backend.
         super().__init__(
-            session=build_session(
-                cache_dir,
-                trace_dir=trace_dir,
-                no_trace_cache=no_trace_cache,
-                cache_backend=cache_backend,
-                shared=True,
-            ),
+            session=build_session(dataclasses.replace(storage, shared=True)),
             workers=concurrent_requests,
             auth_token=auth_token,
         )
         self.pool.executor = self._execute_cluster
-        self.cache_dir = Path(cache_dir)
-        self.trace_dir = trace_dir
-        self.no_trace_cache = no_trace_cache
-        self.cache_backend = cache_backend
         self.max_jobs_per_worker = max_jobs_per_worker
         self.spawn_workers = spawn_workers
         self.connect_endpoints = list(connect or [])
@@ -356,7 +340,7 @@ class ClusterService(ExperimentService):
             await asyncio.gather(*self._flight_tasks, return_exceptions=True)
         await asyncio.gather(*(link.close() for link in self.links.values()))
         if self._own_cache_dir:
-            shutil.rmtree(self.cache_dir, ignore_errors=True)
+            shutil.rmtree(self.session.spec.cache_dir, ignore_errors=True)
 
     async def _spawn_worker(self, worker_id: str) -> WorkerLink:
         """Start one local worker process and complete the handshake."""
@@ -370,17 +354,10 @@ class ClusterService(ExperimentService):
             "--worker",
             "--worker-endpoint",
             "127.0.0.1:0",
-            "--cache-dir",
-            str(self.cache_dir),
             "--workers",
             str(self.worker_processes),
+            *self.session.spec.argv(),
         ]
-        if self.cache_backend is not None:
-            argv.extend(["--cache-backend", str(self.cache_backend)])
-        if self.no_trace_cache:
-            argv.append("--no-trace-cache")
-        elif self.trace_dir is not None:
-            argv.extend(["--trace-dir", str(self.trace_dir)])
         process = await asyncio.create_subprocess_exec(
             *argv,
             env=env,
@@ -838,6 +815,8 @@ class ClusterService(ExperimentService):
     # -------------------------------------------------------------------- stats
     def stats(self) -> dict:
         payload = super().stats()
+        storage = self.session.spec
+        trace_dir = storage.trace_directory()
         flight_joins = self.flights_dispatched + self.flights_coalesced
         payload["cluster"] = {
             "workers": [link.describe() for link in self.links.values()],
@@ -850,13 +829,9 @@ class ClusterService(ExperimentService):
             "workers_recycled": self.workers_recycled,
             "respawn_failures": self.respawn_failures,
             "max_jobs_per_worker": self.max_jobs_per_worker,
-            "cache_backend": self.cache_backend,
-            "cache_dir": str(self.cache_dir),
-            "trace_dir": str(
-                resolve_trace_dir(self.cache_dir, self.trace_dir, self.no_trace_cache)
-            )
-            if not self.no_trace_cache
-            else None,
+            "cache_backend": storage.cache_backend,
+            "cache_dir": str(storage.cache_dir),
+            "trace_dir": None if trace_dir is None else str(trace_dir),
             # Cluster-wide coalescing effectiveness: the queue-level section
             # (payload["coalescing"]) counts client tickets per client job;
             # this one counts planned jobs per executed flight.

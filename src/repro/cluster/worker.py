@@ -16,7 +16,7 @@ pool, same public protocol) extended with the cluster-facing surface
   per-job ``RunStats`` counters for the coordinator to merge.
 * a **shared-directory cache**: worker mode stores results through
   :class:`~repro.runtime.backends.SharedDirectoryBackend`
-  (``build_session(..., shared=True)``), so sibling workers and
+  (``SessionSpec(shared=True)``), so sibling workers and
   warm-assembly experiment jobs observe each other's stores.
 
 Everything else — coalescing, priorities, streaming progress, cooperative

@@ -30,6 +30,7 @@ scans — and garbage collection evicts least-recently-used entries first.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import Callable
@@ -58,6 +59,7 @@ from repro.experiments.base import (
     parse_age,
     parse_size,
 )
+from repro.runtime.session import SessionSpec, default_cache_dir
 
 __all__ = [
     "EXPERIMENTS",
@@ -78,33 +80,37 @@ def _format_bytes(count: int) -> str:
     return f"{count} B"  # pragma: no cover - loop always returns
 
 
-def _cache_maintenance(args) -> int:
+def _cache_maintenance(args, storage) -> int:
     """Handle ``--cache-stats`` / ``--cache-gc`` / ``--cache-clear``."""
-    from repro.runtime import ResultCache, default_cache_dir
+    from repro.runtime import ResultCache
 
-    directory = Path(args.cache_dir or default_cache_dir()).expanduser()
+    directory = Path(storage.cache_dir or default_cache_dir()).expanduser()
+    # An explicit --trace-dir is an independent tier: reported and
+    # maintained even when the result cache dir is missing.
+    trace_dir = dataclasses.replace(storage, cache_dir=directory).trace_directory()
+    if trace_dir is not None and not trace_dir.is_dir():
+        trace_dir = None
     if not directory.is_dir():
         # Read-only verbs must not conjure directories (a typo'd --cache-dir
-        # would silently look like an empty cache).  An explicit --trace-dir
-        # is an independent tier and still gets reported/maintained.
+        # would silently look like an empty cache).
         print(f"cache dir: {directory} (does not exist)")
         if args.cache_clear or args.cache_gc:
-            _trace_tier_maintenance(args, directory)
+            _trace_tier_maintenance(args, trace_dir)
         else:
-            _trace_tier_stats(args, directory)
+            _trace_tier_stats(trace_dir)
         return 0
     cache = ResultCache(directory=directory)
     if args.cache_clear:
         removed = cache.clear()
         print(f"cache dir: {cache.directory}")
         print(f"cleared {removed} entries")
-        _trace_tier_maintenance(args, directory)
+        _trace_tier_maintenance(args, trace_dir)
         return 0
     if args.cache_gc:
         result = cache.gc(max_bytes=args.max_bytes, max_age=args.max_age)
         print(f"cache dir: {cache.directory}")
         print(f"gc: {result.summary()}")
-        _trace_tier_maintenance(args, directory)
+        _trace_tier_maintenance(args, trace_dir)
         return 0
     usage = cache.usage()
     print(f"cache dir: {cache.directory}")
@@ -113,29 +119,14 @@ def _cache_maintenance(args) -> int:
     if usage["oldest_age_seconds"] is not None:
         print(f"oldest entry age: {usage['oldest_age_seconds']:.0f}s")
         print(f"least-recently-used age: {usage['lru_age_seconds']:.0f}s")
-    _trace_tier_stats(args, directory)
+    _trace_tier_stats(trace_dir)
     return 0
 
 
-def _trace_dir_for(args, cache_directory: Path):
-    """The trace tier the maintenance verbs operate on (or ``None``)."""
-    from repro.runtime.session import resolve_trace_dir
-
-    trace_dir = resolve_trace_dir(
-        cache_directory,
-        getattr(args, "trace_dir", None),
-        getattr(args, "no_trace_cache", False),
-    )
-    if trace_dir is None or not trace_dir.is_dir():
-        return None
-    return trace_dir
-
-
-def _trace_tier_maintenance(args, cache_directory: Path) -> None:
+def _trace_tier_maintenance(args, trace_dir: Path | None) -> None:
     """Apply ``--cache-gc``/``--cache-clear`` to the trace-artifact tier."""
     from repro.runtime import TraceArtifactStore
 
-    trace_dir = _trace_dir_for(args, cache_directory)
     if trace_dir is None:
         return
     store = TraceArtifactStore(trace_dir)
@@ -147,11 +138,10 @@ def _trace_tier_maintenance(args, cache_directory: Path) -> None:
         print(f"trace gc: {result.summary()}")
 
 
-def _trace_tier_stats(args, cache_directory: Path) -> None:
+def _trace_tier_stats(trace_dir: Path | None) -> None:
     """Report the trace-artifact tier alongside ``--cache-stats`` output."""
     from repro.runtime import TraceArtifactStore
 
-    trace_dir = _trace_dir_for(args, cache_directory)
     if trace_dir is None:
         print("trace dir: (no artifacts)")
         return
@@ -166,6 +156,7 @@ def _trace_tier_stats(args, cache_directory: Path) -> None:
         f"trace disk bytes: {usage['disk_bytes']} "
         f"({_format_bytes(usage['disk_bytes'])})"
     )
+
 
 #: Registry of experiment id → run function, in the paper's presentation order.
 EXPERIMENTS: dict[str, Callable[..., ExperimentResult]] = {
@@ -223,8 +214,7 @@ def run_all(preset: str | Preset = "fast", seed: int = 0) -> dict[str, Experimen
     return report.results
 
 
-def main(argv: list[str] | None = None) -> int:
-    """Command-line interface."""
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro.experiments",
         description="Regenerate the tables and figures of the Bit-Pragmatic paper.",
@@ -242,36 +232,6 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         metavar="N",
         help="worker processes for the run (default: 1, serial)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="on-disk result cache directory (default: ~/.cache/repro-pragmatic "
-        "or $REPRO_CACHE_DIR)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache entirely"
-    )
-    parser.add_argument(
-        "--cache-backend",
-        default=None,
-        metavar="SPEC",
-        help="result-cache backend URI instead of --cache-dir: "
-        "remote://HOST:PORT (network cache tier, see docs/cachenet.md), "
-        "memory://, or a directory path",
-    )
-    parser.add_argument(
-        "--trace-dir",
-        default=None,
-        metavar="DIR",
-        help="trace-fabric artifact directory (default: <cache-dir>/traces); "
-        "workers sharing it open one physical copy of each trace tensor",
-    )
-    parser.add_argument(
-        "--no-trace-cache",
-        action="store_true",
-        help="disable the zero-copy trace fabric (generate traces in-process)",
     )
     parser.add_argument(
         "--out",
@@ -307,14 +267,22 @@ def main(argv: list[str] | None = None) -> int:
         metavar="AGE",
         help="gc age cap on last use (seconds or s/m/h/d suffix, e.g. 30d)",
     )
+    SessionSpec.add_arguments(parser)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Command-line interface."""
+    parser = _parser()
     args = parser.parse_args(argv)
+    storage = SessionSpec.from_args(args, default_cache_dir())
 
     if args.cache_stats or args.cache_gc or args.cache_clear:
         if args.no_cache:
             parser.error("cache maintenance verbs require a disk cache (drop --no-cache)")
         if args.cache_gc and args.max_bytes is None and args.max_age is None:
             parser.error("--cache-gc needs --max-bytes and/or --max-age")
-        return _cache_maintenance(args)
+        return _cache_maintenance(args, storage)
 
     if args.list:
         width = max(len(name) for name in EXPERIMENTS)
@@ -328,27 +296,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--jobs must be at least 1")
 
     from repro.runtime import run_experiments
-    from repro.runtime.session import default_cache_dir
 
     names = list(EXPERIMENTS) if args.all else [args.experiment]
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_backend is not None:
-        # Results go to the backend; an explicit --cache-dir still anchors
-        # the trace fabric, but don't conjure the default dir for it.
-        cache_dir = args.cache_dir
-    else:
-        cache_dir = args.cache_dir or default_cache_dir()
     report = run_experiments(
-        names,
-        preset=args.preset,
-        seed=args.seed,
-        jobs=args.jobs,
-        cache_dir=cache_dir,
-        no_cache=args.no_cache,
-        trace_dir=args.trace_dir,
-        no_trace_cache=args.no_trace_cache,
-        cache_backend=args.cache_backend,
+        names, preset=args.preset, seed=args.seed, jobs=args.jobs, storage=storage
     )
 
     for result in report.results.values():

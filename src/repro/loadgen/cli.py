@@ -56,6 +56,9 @@ _BANNER = re.compile(r"(?:listening on|coordinator on) ([\d.]+):(\d+)")
 #: (cluster startup includes per-worker spawn + handshake).
 SPAWN_TIMEOUT = 180.0
 
+#: Bytes of a spawned target's later stderr kept for diagnostics.
+STDERR_TAIL_BYTES = 64 * 1024
+
 
 class SpawnError(RuntimeError):
     """The spawned target never became ready."""
@@ -79,16 +82,21 @@ class _SpawnedTarget:
         self.host: str | None = None
         self.port: int | None = None
         self._tmp: tempfile.TemporaryDirectory | None = None
+        #: The last :data:`STDERR_TAIL_BYTES` the target wrote after its banner.
+        self.stderr_tail = b""
+        self._drain: asyncio.Task | None = None
 
     def _command(self) -> list[str]:
+        from repro.runtime.session import SessionSpec
+
         if self.kind == "serve":
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-loadgen-cache-")
             command = [
                 sys.executable, "-m", "repro", "serve",
                 "--tcp", "127.0.0.1:0",
                 "--workers", str(self.workers),
-                "--cache-dir", self._tmp.name,
             ]
+            storage = SessionSpec(cache_dir=self._tmp.name, cache_backend=self.cache_backend)
         else:
             # Cluster: cache_dir omitted on purpose — the coordinator creates
             # and removes a private shared directory itself.
@@ -98,9 +106,8 @@ class _SpawnedTarget:
                 "--workers", str(self.workers),
                 "--worker-processes", str(self.worker_processes),
             ]
-        if self.cache_backend is not None:
-            command.extend(["--cache-backend", self.cache_backend])
-        return command
+            storage = SessionSpec(cache_backend=self.cache_backend)
+        return command + storage.argv()
 
     async def __aenter__(self) -> "_SpawnedTarget":
         self.process = await asyncio.create_subprocess_exec(
@@ -118,6 +125,7 @@ class _SpawnedTarget:
         except BaseException:
             await self._terminate()
             raise
+        self._drain = asyncio.create_task(self._drain_stderr())
         return self
 
     async def _await_banner(self) -> None:
@@ -130,9 +138,13 @@ class _SpawnedTarget:
             match = _BANNER.search(line.decode("utf-8", "replace"))
             if match:
                 self.host, self.port = match.group(1), int(match.group(2))
-                # Stop consuming stderr; the pipe buffer is ample for the
-                # target's remaining diagnostics over one load run.
                 return
+
+    async def _drain_stderr(self) -> None:
+        """Read the target's stderr to EOF: a target blocked writing to a
+        full pipe would stall the whole load run."""
+        while chunk := await self.process.stderr.read(STDERR_TAIL_BYTES):
+            self.stderr_tail = (self.stderr_tail + chunk)[-STDERR_TAIL_BYTES:]
 
     async def __aexit__(self, *exc_info) -> None:
         await self._shutdown()
@@ -148,6 +160,10 @@ class _SpawnedTarget:
             with contextlib.suppress(asyncio.TimeoutError):
                 await asyncio.wait_for(self.process.wait(), timeout=30)
         await self._terminate()
+        if self._drain is not None:
+            self._drain.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await self._drain
         if self._tmp is not None:
             self._tmp.cleanup()
 

@@ -59,11 +59,11 @@ from repro.runtime.session import (
     DEFAULT_CACHE_DIR,
     RunStats,
     RuntimeSession,
+    SessionSpec,
     build_session,
     current_session,
     default_cache_dir,
     isolated_session,
-    resolve_trace_dir,
     use_session,
 )
 from repro.runtime.trace_cache import (
@@ -104,11 +104,11 @@ __all__ = [
     "run_experiments",
     "RunStats",
     "RuntimeSession",
+    "SessionSpec",
     "build_session",
     "current_session",
     "isolated_session",
     "use_session",
-    "resolve_trace_dir",
     "MmapTraceBacking",
     "TraceArtifactStore",
     "default_trace_dir",

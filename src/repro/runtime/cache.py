@@ -216,24 +216,16 @@ class ResultCache:
         Numbers come from the backend (the manifest for filesystem-shaped
         backends) — no directory scan.
         """
-        usage = self.backend.usage() if self.enabled else {"entries": 0, "disk_bytes": 0}
-        payload = {
-            "entries": usage.get("entries", 0),
+        usage = self.backend.usage() if self.enabled else InMemoryBackend().usage()
+        # Backends report extra gauges beyond the base four (the network
+        # tier's remote_*/negative_* counters, docs/cachenet.md); they pass
+        # through for run summaries, the serve ``stats`` op and loadgen.
+        return {
+            **usage,
             "memo_entries": len(self._memory),
             "directory": str(self.directory) if self.directory is not None else None,
             "backend": self.backend.describe(),
-            "disk_bytes": usage.get("disk_bytes", 0),
-            "oldest_age_seconds": usage.get("oldest_age_seconds"),
-            "lru_age_seconds": usage.get("lru_age_seconds"),
         }
-        # The network cache tier (docs/cachenet.md) reports extra gauges —
-        # remote hit/miss/degraded counters, negative-lookup suppression —
-        # that run summaries, the serve ``stats`` op and loadgen reports
-        # surface; pass them through rather than flattening them away.
-        for key, value in usage.items():
-            if key.startswith(("remote_", "negative_", "suppressed_", "memory_")):
-                payload[key] = value
-        return payload
 
     def gauges(self) -> CacheStats:
         """This cache's current state gauges, with zero counters (see CacheStats)."""

@@ -26,7 +26,6 @@ import concurrent.futures
 import multiprocessing
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.experiments.base import ExperimentResult, Preset, get_preset
 from repro.runtime.engine import analyze, simulate
@@ -40,6 +39,7 @@ from repro.runtime.jobs import (
 from repro.runtime.session import (
     RunStats,
     RuntimeSession,
+    SessionSpec,
     build_session,
     current_session,
     use_session,
@@ -94,36 +94,10 @@ class RunReport:
 _WORKER_SESSION: RuntimeSession | None = None
 
 
-def _init_worker(
-    cache_dir: str | None,
-    no_cache: bool,
-    trace_dir: str | None = None,
-    no_trace_cache: bool = False,
-    cache_backend: str | None = None,
-) -> None:
-    """Pool initializer: give the worker process its own configured session."""
+def _init_worker(spec: SessionSpec) -> None:
+    """Pool initializer: rebuild the parent's session from its spec."""
     global _WORKER_SESSION
-    _WORKER_SESSION = build_session(
-        cache_dir=cache_dir,
-        no_cache=no_cache,
-        trace_dir=trace_dir,
-        no_trace_cache=no_trace_cache,
-        cache_backend=cache_backend,
-    )
-
-
-def _session_trace_config(session: RuntimeSession) -> tuple[str | None, bool]:
-    """The ``(trace_dir, no_trace_cache)`` pair reproducing a session's fabric.
-
-    Pool workers must share the parent's artifact directory (that is the
-    fabric's whole point: one physical tensor per host), so the parent's
-    wiring — not the CLI flags, which the parent already resolved — is the
-    source of truth.
-    """
-    artifacts = getattr(session.traces, "artifacts", None)
-    if artifacts is None:
-        return None, True
-    return str(artifacts.directory), False
+    _WORKER_SESSION = build_session(spec)
 
 
 def _execute_job(
@@ -161,16 +135,9 @@ def _run_serial(
 
 
 def _run_parallel(
-    plan: RunPlan,
-    jobs: int,
-    session: RuntimeSession,
-    stats: RunStats,
-    cache_backend: str | None = None,
+    plan: RunPlan, jobs: int, spec: SessionSpec, stats: RunStats
 ) -> dict[str, ExperimentResult]:
-    """Dependency-wavefront execution over a process pool."""
-    cache_dir = str(session.cache.directory) if session.cache.directory else None
-    no_cache = not session.cache.enabled
-    trace_dir, no_trace_cache = _session_trace_config(session)
+    """Dependency-wavefront execution over a process pool of ``spec`` sessions."""
     context = multiprocessing.get_context("spawn")
     results: dict[str, ExperimentResult] = {}
     waiting = list(plan.jobs())
@@ -181,7 +148,7 @@ def _run_parallel(
             max_workers=jobs,
             mp_context=context,
             initializer=_init_worker,
-            initargs=(cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend),
+            initargs=(spec,),
         )
     except (OSError, PermissionError) as error:
         # Normalize "cannot create a pool at all" to the executor failure the
@@ -226,11 +193,7 @@ def run_experiments(
     preset: str | Preset = "fast",
     seed: int = 0,
     jobs: int = 1,
-    cache_dir: str | Path | None = None,
-    no_cache: bool = False,
-    trace_dir: str | Path | None = None,
-    no_trace_cache: bool = False,
-    cache_backend: str | None = None,
+    storage: SessionSpec | None = None,
 ) -> RunReport:
     """Run experiments through the runtime and reassemble results deterministically.
 
@@ -242,28 +205,25 @@ def run_experiments(
         Forwarded to every experiment.
     jobs:
         Worker processes; ``1`` (the default) runs serially in-process.
-    cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend:
-        When ``cache_dir``, ``no_cache`` or ``cache_backend`` is given, the
-        run gets its own session from
+    storage:
+        When given, the run gets its own session from
         :func:`~repro.runtime.session.build_session`; otherwise it uses the
         caller's active session (so one installed with
         :func:`~repro.runtime.session.use_session` is honored).  Pool workers
-        rebuild the session from the same settings: a ``cache_backend`` must
-        be a spec, since a backend instance cannot cross a process spawn.
+        rebuild the session from its spec: a ``cache_backend`` must be a URI
+        spec, since a backend instance cannot cross a process spawn.
     """
     preset = get_preset(preset)
     started = time.perf_counter()
-    if no_cache or cache_dir is not None or cache_backend is not None:
-        session = build_session(cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend)
-    else:
-        session = current_session()
+    session = build_session(storage) if storage is not None else current_session()
     start = session.stats()
     stats = RunStats()
     mode = "serial"
     plan = build_plan(names, preset, seed, session)
-    if jobs > 1 and not session.cache.persistent:
+    if jobs > 1 and not (session.spec is not None and session.cache.persistent):
         # Simulation/statistics jobs cannot hand results to sibling processes
-        # without a shared on-disk cache; run self-contained experiment jobs only.
+        # without a shared on-disk cache the workers rebuild from the session's
+        # spec; run self-contained experiment jobs only.
         plan = RunPlan(
             simulations=[],
             statistics=[],
@@ -281,7 +241,7 @@ def run_experiments(
 
     if jobs > 1:
         try:
-            unordered = _run_parallel(plan, jobs, session, stats, cache_backend)
+            unordered = _run_parallel(plan, jobs, session.spec or SessionSpec(), stats)
             results = {name: unordered[name] for name in names}
             mode = "parallel"
         except concurrent.futures.BrokenExecutor:
@@ -298,6 +258,7 @@ def run_experiments(
     if mode == "parallel" and session.cache.manifest is not None:
         session.cache.manifest.refresh()  # pool workers wrote the shared index
     usage = session.cache.usage()
+    artifacts = getattr(session.traces, "artifacts", None)
     return RunReport(
         results=results,
         stats=stats,
@@ -312,5 +273,5 @@ def run_experiments(
         statistics_jobs=len(plan.statistics),
         cache_entries=usage.get("entries", 0),
         cache_disk_bytes=usage.get("disk_bytes", 0) or 0,
-        trace_dir=_session_trace_config(session)[0],
+        trace_dir=str(artifacts.directory) if artifacts is not None else None,
     )

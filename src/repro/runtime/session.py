@@ -2,8 +2,9 @@
 
 Experiments do not thread runtime handles through their signatures — they ask
 for :func:`current_session`.  Sessions are made by one builder,
-:func:`build_session` (the CLI's run, each scheduler pool worker, the serve
-and cluster processes); tests use :func:`use_session`/:func:`isolated_session`.
+:func:`build_session`, from one :class:`SessionSpec` of storage settings (the
+CLI's run, each scheduler pool worker, the serve and cluster processes);
+tests use :func:`use_session`/:func:`isolated_session`.
 The default session uses an in-memory cache, so importing ``repro`` and
 calling ``fig9.run()`` never touches the filesystem.
 
@@ -35,11 +36,11 @@ __all__ = [
     "DEFAULT_CACHE_DIR",
     "RunStats",
     "RuntimeSession",
+    "SessionSpec",
     "build_session",
     "current_session",
     "default_cache_dir",
     "isolated_session",
-    "resolve_trace_dir",
     "use_session",
 ]
 
@@ -108,11 +109,15 @@ class RuntimeSession:
         cache: ResultCache | None = None,
         traces: TraceStore | None = None,
         progress: "ProgressToken | None" = None,
+        spec: "SessionSpec | None" = None,
     ) -> None:
         self.cache = cache if cache is not None else ResultCache()
         self.traces = traces if traces is not None else TraceStore()
         self.sweep_stats = SweepStats()
         self.progress = progress
+        #: The :class:`SessionSpec` this session was built from (``None``
+        #: for a hand-assembled session).
+        self.spec = spec
 
     def trace(self, spec) -> object:
         """The calibrated trace for ``spec``, via the shared store."""
@@ -147,68 +152,133 @@ def current_session() -> RuntimeSession:
     return _DEFAULT
 
 
-def resolve_trace_dir(
-    cache_dir: str | Path | None = None,
-    trace_dir: str | Path | None = None,
-    no_trace_cache: bool = False,
-) -> Path | None:
-    """Where (if anywhere) this process's trace fabric lives.
+#: The storage flags, declared once for every CLI: ``(field, flag, metavar,
+#: help)``; a flag without a metavar is a switch.
+_FLAGS = (
+    ("cache_dir", "--cache-dir", "DIR", "on-disk result cache directory (default: {default})"),
+    ("no_cache", "--no-cache", None, "disable the result cache entirely"),
+    (
+        "trace_dir", "--trace-dir", "DIR",
+        "trace-fabric artifact directory (default: <cache-dir>/traces); processes "
+        "sharing it map one physical copy of each trace tensor",
+    ),
+    (
+        "no_trace_cache", "--no-trace-cache", None,
+        "disable the zero-copy trace fabric (generate traces in-process)",
+    ),
+    (
+        "cache_backend", "--cache-backend", "SPEC",
+        "result-cache backend URI instead of --cache-dir: remote://HOST:PORT (network "
+        "cache tier, see docs/cachenet.md), memory://, or a directory path; "
+        "--cache-dir then only anchors the trace fabric",
+    ),
+)
 
-    ``no_trace_cache`` disables the fabric outright; an explicit ``trace_dir``
-    wins otherwise; an on-disk result cache defaults to a ``traces/``
-    subdirectory beside it (so N workers sharing a cache dir also share
-    trace artifacts); a memory-only session keeps traces in memory too.
-    Note ``--no-cache --trace-dir DIR`` keeps the fabric *on* — result caching
-    and trace sharing are independent tiers.
+
+@dataclass(frozen=True)
+class SessionSpec:
+    """The storage settings a session is built from, one value for every
+    process of a run.
+
+    ``cache_dir`` selects the on-disk result cache (``None``: memory) and
+    ``no_cache`` disables result caching.  ``cache_backend`` overrides
+    ``cache_dir`` for the result tier: a URI spec (``remote://host:port``) or
+    a :class:`~repro.runtime.backends.CacheBackend` instance, resolved by
+    :func:`repro.cachenet.backend.resolve_backend`.  ``shared`` stores a
+    ``cache_dir`` through the
+    :class:`~repro.runtime.backends.SharedDirectoryBackend` that sibling
+    cluster workers need.  ``trace_dir``/``no_trace_cache`` place the trace
+    fabric (:meth:`trace_directory`).
+
+    A CLI declares the flags (:meth:`add_arguments`) and reads them back
+    (:meth:`from_args`); :func:`build_session` records the spec as
+    ``session.spec``, and :meth:`argv` rebuilds it in a spawned child.
     """
-    if no_trace_cache:
+
+    cache_dir: Path | None = None
+    no_cache: bool = False
+    trace_dir: Path | None = None
+    no_trace_cache: bool = False
+    cache_backend: object | None = None
+    shared: bool = False
+
+    def __post_init__(self) -> None:
+        # Paths compare equal however they were given (CLI string or Path).
+        for name in ("cache_dir", "trace_dir"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, Path(getattr(self, name)))
+
+    @staticmethod
+    def add_arguments(
+        parser, cache_dir_default: str = "~/.cache/repro-pragmatic or $REPRO_CACHE_DIR"
+    ) -> None:
+        """Declare the storage flags on an ``argparse`` parser."""
+        group = parser.add_argument_group("storage")
+        for _, flag, metavar, help_text in _FLAGS:
+            options = {"metavar": metavar} if metavar else {"action": "store_true"}
+            group.add_argument(flag, help=help_text.format(default=cache_dir_default), **options)
+
+    @classmethod
+    def from_args(cls, args, default_dir: str | Path | None = None) -> "SessionSpec":
+        """The spec parsed storage flags describe.
+
+        Without ``--cache-dir`` results go to ``default_dir`` — unless they
+        go nowhere (``--no-cache``) or to a ``--cache-backend``, where an
+        explicit ``--cache-dir`` only anchors the trace fabric.
+        """
+        cache_dir = None if args.no_cache else args.cache_dir
+        if cache_dir is None and not args.no_cache and args.cache_backend is None:
+            cache_dir = default_dir
+        return cls(
+            cache_dir, args.no_cache, args.trace_dir, args.no_trace_cache, args.cache_backend
+        )
+
+    def argv(self) -> list[str]:
+        """The flags that rebuild this spec in a child (``shared`` is the
+        child's mode, not a flag)."""
+        argv: list[str] = []
+        for name, flag, metavar, _ in _FLAGS:
+            value = getattr(self, name)
+            if metavar and value is not None:
+                argv.extend([flag, str(value)])
+            elif not metavar and value:
+                argv.append(flag)
+        return argv
+
+    def trace_directory(self) -> Path | None:
+        """Where (if anywhere) the trace fabric lives.
+
+        ``no_trace_cache`` disables it; an explicit ``trace_dir`` wins; an
+        on-disk result cache defaults to a ``traces/`` directory beside it
+        (so processes sharing a cache dir share trace artifacts); otherwise
+        traces stay in memory.  ``--no-cache --trace-dir DIR`` keeps the
+        fabric *on*: result caching and trace sharing are independent tiers.
+        """
+        if self.no_trace_cache:
+            return None
+        if self.trace_dir is not None:
+            return self.trace_dir.expanduser()
+        if self.cache_dir is not None and not self.no_cache:
+            return default_trace_dir(self.cache_dir)
         return None
-    if trace_dir is not None:
-        return Path(trace_dir).expanduser()
-    if cache_dir is not None:
-        return default_trace_dir(cache_dir)
-    return None
 
 
-def build_session(
-    cache_dir: str | Path | None = None,
-    no_cache: bool = False,
-    trace_dir: str | Path | None = None,
-    no_trace_cache: bool = False,
-    cache_backend: object | None = None,
-    shared: bool = False,
-) -> RuntimeSession:
-    """A fresh session: a result cache plus, when wired, the trace fabric.
-
-    ``cache_dir`` selects the on-disk result cache; ``None`` keeps it in
-    memory, and ``no_cache`` disables result caching entirely.
-    ``cache_backend`` overrides ``cache_dir`` for the result tier: a
-    ``--cache-backend`` URI spec (e.g. ``remote://host:port``) or a
-    :class:`~repro.runtime.backends.CacheBackend` instance, resolved by
-    :func:`repro.cachenet.backend.resolve_backend` (``docs/cachenet.md``).
-    ``shared`` stores a ``cache_dir`` through the
-    :class:`~repro.runtime.backends.SharedDirectoryBackend`, which long-lived
-    sibling processes (cluster workers) need to see each other's stores.
-
-    The trace fabric resolves by :func:`resolve_trace_dir` against
-    ``cache_dir`` (unless ``no_cache``), ``trace_dir`` and
-    ``no_trace_cache``: by default a ``traces/`` directory beside a disk
-    cache, so every process on the host maps one physical copy of each trace
-    tensor.
-    """
-    if no_cache:
+def build_session(spec: SessionSpec = SessionSpec()) -> RuntimeSession:
+    """A fresh session of ``spec``'s result cache and trace fabric; it
+    records ``spec`` so pool workers can rebuild it."""
+    if spec.no_cache:
         cache = ResultCache.disabled()
-    elif cache_backend is not None:
+    elif spec.cache_backend is not None:
         from repro.cachenet.backend import resolve_backend
 
-        cache = ResultCache(backend=resolve_backend(cache_backend))
-    elif shared and cache_dir is not None:
-        cache = ResultCache(backend=SharedDirectoryBackend(cache_dir))
+        cache = ResultCache(backend=resolve_backend(spec.cache_backend))
+    elif spec.shared and spec.cache_dir is not None:
+        cache = ResultCache(backend=SharedDirectoryBackend(spec.cache_dir))
     else:
-        cache = ResultCache(directory=cache_dir)
-    resolved = resolve_trace_dir(None if no_cache else cache_dir, trace_dir, no_trace_cache)
-    traces = None if resolved is None else TraceStore(artifacts=TraceArtifactStore(resolved))
-    return RuntimeSession(cache=cache, traces=traces)
+        cache = ResultCache(directory=spec.cache_dir)
+    trace_dir = spec.trace_directory()
+    traces = None if trace_dir is None else TraceStore(artifacts=TraceArtifactStore(trace_dir))
+    return RuntimeSession(cache=cache, traces=traces, spec=spec)
 
 
 @contextlib.contextmanager

@@ -84,11 +84,6 @@ class TraceStore:
         self.builds = 0
         self.reuses = 0
 
-    def known(self, spec: TraceSpec) -> bool:
-        """Whether ``spec``'s trace is already materialized in this store."""
-        with self._lock:
-            return spec in self._traces
-
     def get(self, spec: TraceSpec) -> NetworkTrace:
         """The trace described by ``spec``, building it on first request."""
         return self.fetch(spec)[0]

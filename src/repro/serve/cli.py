@@ -27,12 +27,13 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import dataclasses
 import json
 import os
 import sys
 
 from repro.experiments.base import parse_age, parse_endpoint, parse_size
-from repro.runtime.session import build_session, default_cache_dir, resolve_trace_dir
+from repro.runtime.session import SessionSpec, build_session, default_cache_dir
 
 __all__ = ["main"]
 
@@ -44,7 +45,7 @@ def _parse_interval(value: str) -> float:
     return seconds
 
 
-async def _run_worker(args) -> int:
+async def _run_worker(args, storage: SessionSpec) -> int:
     """Cluster worker mode: a WorkerService plus a machine-readable banner.
 
     The coordinator spawns this subprocess, reads one JSON line from stdout
@@ -53,16 +54,14 @@ async def _run_worker(args) -> int:
     """
     from repro.cluster.worker import WorkerService
 
-    cache_dir = args.cache_dir or default_cache_dir()
+    # A worker always anchors its trace fabric in a directory, even when
+    # results live behind a --cache-backend.
+    storage = dataclasses.replace(
+        storage, cache_dir=storage.cache_dir or default_cache_dir(), shared=True
+    )
     try:
         service = WorkerService(
-            session=build_session(
-                cache_dir,
-                trace_dir=args.trace_dir,
-                no_trace_cache=args.no_trace_cache,
-                cache_backend=args.cache_backend,
-                shared=True,
-            ),
+            session=build_session(storage),
             workers=args.workers,
             auth_token=args.auth_token,
             gc_interval=args.gc_interval,
@@ -82,10 +81,8 @@ async def _run_worker(args) -> int:
                     "host": bound[0],
                     "port": bound[1],
                     "pid": os.getpid(),
-                    "cache_dir": str(cache_dir),
-                    "trace_dir": str(resolve_trace_dir(
-                        cache_dir, args.trace_dir, args.no_trace_cache
-                    )),
+                    "cache_dir": str(storage.cache_dir),
+                    "trace_dir": str(storage.trace_directory()),
                 }
             ),
             flush=True,
@@ -95,7 +92,7 @@ async def _run_worker(args) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Serve experiment/simulation requests from one warm runtime session.",
@@ -141,36 +138,6 @@ def main(argv: list[str] | None = None) -> int:
         metavar="N",
         help="bound on concurrently executing jobs (default: 2)",
     )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="shared on-disk result cache (default: ~/.cache/repro-pragmatic "
-        "or $REPRO_CACHE_DIR)",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache entirely"
-    )
-    parser.add_argument(
-        "--cache-backend",
-        default=None,
-        metavar="SPEC",
-        help="result-cache backend URI instead of --cache-dir: "
-        "remote://HOST:PORT (network cache tier, see docs/cachenet.md), "
-        "memory://, or a directory path",
-    )
-    parser.add_argument(
-        "--trace-dir",
-        default=None,
-        metavar="DIR",
-        help="trace-fabric artifact directory (default: <cache-dir>/traces); "
-        "workers sharing it map one physical copy of each trace tensor",
-    )
-    parser.add_argument(
-        "--no-trace-cache",
-        action="store_true",
-        help="disable the zero-copy trace fabric (generate traces in-process)",
-    )
     gc = parser.add_argument_group("background cache GC")
     gc.add_argument(
         "--gc-interval",
@@ -194,7 +161,14 @@ def main(argv: list[str] | None = None) -> int:
         metavar="AGE",
         help="evict entries unused for AGE on each background GC pass (e.g. 30d)",
     )
+    SessionSpec.add_arguments(parser)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
+    storage = SessionSpec.from_args(args, default_cache_dir())
     if args.workers < 1:
         parser.error("--workers must be at least 1")
     if args.gc_interval is not None and args.gc_max_bytes is None and args.gc_max_age is None:
@@ -208,29 +182,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.worker:
         if args.no_cache:
             parser.error("--worker needs the shared cache (drop --no-cache)")
-        return asyncio.run(_run_worker(args))
+        return asyncio.run(_run_worker(args, storage))
 
     from repro.serve.service import ExperimentService
 
-    if args.no_cache:
-        cache_dir = None
-    elif args.cache_backend is not None:
-        # Results go to the backend; an explicit --cache-dir still anchors
-        # the trace fabric, but don't conjure the default dir for it.
-        cache_dir = args.cache_dir
-    else:
-        cache_dir = args.cache_dir or default_cache_dir()
     service = ExperimentService(
-        cache_dir=cache_dir,
-        no_cache=args.no_cache,
+        session=build_session(storage),
         workers=args.workers,
         gc_interval=args.gc_interval,
         gc_max_bytes=args.gc_max_bytes,
         gc_max_age=args.gc_max_age,
         auth_token=args.auth_token,
-        trace_dir=args.trace_dir,
-        no_trace_cache=args.no_trace_cache,
-        cache_backend=args.cache_backend,
     )
 
     async def run_tcp(host: str, port: int) -> None:

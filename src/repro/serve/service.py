@@ -27,7 +27,6 @@ import contextlib
 import hmac
 import sys
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from repro.runtime import RunStats, RuntimeSession
 from repro.runtime.session import build_session
@@ -81,16 +80,13 @@ class ExperimentService:
 
     Parameters
     ----------
-    cache_dir / no_cache / trace_dir / no_trace_cache / cache_backend:
-        Build the served session with
-        :func:`~repro.runtime.session.build_session`: the result cache
-        (``None`` keeps it in memory, still shared across every request of
-        this service) and the zero-copy trace fabric.  Ignored when an
-        explicit ``session`` is supplied.
+    session:
+        The session to serve from, made by
+        :func:`~repro.runtime.session.build_session` (result cache + trace
+        fabric).  ``None`` serves from a fresh memory-only session, still
+        shared across every request of this service.
     workers:
         Bound on concurrently executing jobs.
-    session:
-        Pre-built session to serve from.
     gc_interval:
         Period, in seconds, of the automatic background garbage collection of
         the shared disk cache.  ``None`` (default) disables the task; when
@@ -115,21 +111,16 @@ class ExperimentService:
 
     def __init__(
         self,
-        cache_dir: str | Path | None = None,
-        no_cache: bool = False,
-        workers: int = 2,
         session: RuntimeSession | None = None,
+        workers: int = 2,
         gc_interval: float | None = None,
         gc_max_bytes: int | None = None,
         gc_max_age: float | None = None,
         auth_token: str | None = None,
         executor=None,
-        trace_dir: str | Path | None = None,
-        no_trace_cache: bool = False,
-        cache_backend: object | None = None,
     ) -> None:
         if session is None:
-            session = build_session(cache_dir, no_cache, trace_dir, no_trace_cache, cache_backend)
+            session = build_session()
         self.session = session
         self.auth_token = auth_token
         self.queue = RequestQueue()

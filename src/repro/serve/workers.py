@@ -87,9 +87,6 @@ class _TraceView:
         self.builds = 0
         self.reuses = 0
 
-    def known(self, spec) -> bool:
-        return self._inner.known(spec)
-
     def get(self, spec):
         trace, built = self._inner.fetch(spec)
         if built:

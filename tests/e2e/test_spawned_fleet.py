@@ -20,7 +20,7 @@ import pytest
 from repro.cachenet.backend import RemoteBackend
 from repro.cachenet.server import CacheServer
 from repro.cluster import ClusterService
-from repro.runtime import ResultCache, TraceArtifactStore
+from repro.runtime import ResultCache, SessionSpec, TraceArtifactStore
 from repro.serve import ServeClient
 from repro.serve.protocol import parse_request
 
@@ -193,7 +193,7 @@ def test_recycling_fleet_requeues_and_respawns_a_killed_worker(recycling_fleet):
 
 async def _remote_tier_run(spec: str) -> dict:
     """A fresh 2-worker cluster's fig9 run whose only result cache is ``spec``."""
-    service = ClusterService(spawn_workers=2, cache_backend=spec)
+    service = ClusterService(spawn_workers=2, storage=SessionSpec(cache_backend=spec))
     request = parse_request(
         {"op": "run_experiment", "experiment": "fig9", "overrides": WORKLOAD}
     )

@@ -34,6 +34,7 @@ from repro.runtime import (
     ResultCache,
     SimulationRequest,
     StatisticsRequest,
+    SessionSpec,
     TraceSpec,
     build_session,
 )
@@ -178,12 +179,14 @@ class TestPlanWireCodec:
 class TestWorkerService:
     def test_worker_requires_auth_token(self, tmp_path):
         with pytest.raises(ValueError):
-            WorkerService(session=build_session(tmp_path, shared=True))
+            WorkerService(session=build_session(SessionSpec(cache_dir=tmp_path, shared=True)))
 
     def test_internal_ops_gated_on_registration(self, tmp_path):
         async def scenario():
             service = WorkerService(
-                session=build_session(tmp_path, shared=True), workers=1, auth_token=TOKEN
+                session=build_session(SessionSpec(cache_dir=tmp_path, shared=True)),
+                workers=1,
+                auth_token=TOKEN,
             )
             sent = []
             context = ConnectionContext(authenticated=True)  # authed, unregistered
@@ -206,7 +209,9 @@ class TestWorkerService:
     def test_unauthenticated_connection_rejected_before_queue(self, tmp_path):
         async def scenario():
             service = WorkerService(
-                session=build_session(tmp_path, shared=True), workers=1, auth_token=TOKEN
+                session=build_session(SessionSpec(cache_dir=tmp_path, shared=True)),
+                workers=1,
+                auth_token=TOKEN,
             )
             sent = []
             context = ConnectionContext(authenticated=False)
@@ -249,7 +254,9 @@ class _Cluster:
         endpoints = []
         for _ in range(self.worker_count):
             service = WorkerService(
-                session=build_session(self.cache_dir, shared=True), workers=2, auth_token=TOKEN
+                session=build_session(SessionSpec(cache_dir=self.cache_dir, shared=True)),
+                workers=2,
+                auth_token=TOKEN,
             )
             server = await service.serve_tcp("127.0.0.1", 0)
             endpoints.append(("127.0.0.1", server.sockets[0].getsockname()[1]))
@@ -258,7 +265,7 @@ class _Cluster:
         self.coordinator = ClusterService(
             spawn_workers=0,
             connect=endpoints,
-            cache_dir=self.cache_dir,
+            storage=SessionSpec(cache_dir=self.cache_dir),
             worker_token=TOKEN,
         )
         await self.coordinator.start()

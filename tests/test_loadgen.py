@@ -14,6 +14,7 @@ import json
 import math
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -451,7 +452,7 @@ class TestGate:
 class TestServeTimings:
     def test_response_carries_wall_clock_breakdown(self):
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 async with server:
@@ -472,7 +473,7 @@ class TestServeTimings:
 
     def test_stats_exposes_coalescing_effectiveness(self):
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 async with server:
@@ -494,7 +495,7 @@ class TestLoadSwarm:
         """End to end: hot+cold, stream+batch, cancels, report well-formed."""
 
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=2) as service:
+            async with ExperimentService(workers=2) as service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 async with server:
@@ -524,6 +525,36 @@ class TestLoadSwarm:
         section = report.trajectory_section()
         assert section["mix_seed"] == 6
         assert section["p99_seconds"] >= section["p50_seconds"]
+
+
+# ------------------------------------------------------------- spawned target
+#: A target that announces itself, then writes four pipe buffers to stderr.
+CHATTY_TARGET = (
+    "import sys\n"
+    "sys.stderr.write('repro serve: listening on 127.0.0.1:1\\n')\n"
+    "sys.stderr.flush()\n"
+    "sys.stderr.write('x' * 256 * 1024)\n"
+    "sys.stderr.flush()\n"
+)
+
+
+class TestSpawnedTarget:
+    def test_chatty_target_never_blocks_on_its_stderr_pipe(self, monkeypatch):
+        from repro.loadgen.cli import _SpawnedTarget
+
+        monkeypatch.setattr(
+            _SpawnedTarget, "_command", lambda self: [sys.executable, "-c", CHATTY_TARGET]
+        )
+
+        async def scenario():
+            async with _SpawnedTarget("serve", workers=1, worker_processes=1) as target:
+                assert (target.host, target.port) == ("127.0.0.1", 1)
+                code = await asyncio.wait_for(target.process.wait(), timeout=10)
+                return code, target.stderr_tail
+
+        code, tail = run(scenario())
+        assert code == 0
+        assert 0 < len(tail) <= 64 * 1024
 
 
 # ----------------------------------------------------------------- report schema

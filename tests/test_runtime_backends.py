@@ -29,6 +29,28 @@ from repro.runtime.cache import CacheStats, ResultCache
 
 BACKENDS = ("memory", "filesystem", "shared", "remote", "tiered")
 
+#: ``ResultCache.usage()`` keys over every backend, plus each flavour's extras.
+USAGE_KEYS = {
+    "entries",
+    "disk_bytes",
+    "oldest_age_seconds",
+    "lru_age_seconds",
+    "memo_entries",
+    "directory",
+    "backend",
+}
+REMOTE_USAGE_KEYS = {
+    "remote_endpoint",
+    "remote_reachable",
+    "remote_hits",
+    "remote_misses",
+    "remote_degraded",
+}
+EXTRA_USAGE_KEYS = {
+    "remote": REMOTE_USAGE_KEYS,
+    "tiered": REMOTE_USAGE_KEYS | {"memory_entries", "negative_entries", "suppressed_lookups"},
+}
+
 
 @pytest.fixture
 def make_backend(tmp_path):
@@ -149,6 +171,8 @@ class TestBackendConformance:
         assert len(cache) == 1
         snapshot = cache.snapshot()
         assert snapshot.hits == 1
+        expected = USAGE_KEYS | EXTRA_USAGE_KEYS.get(flavour, set())
+        assert set(cache.usage()) == expected
 
     def test_result_cache_memo_eviction_falls_back_to_backend(
         self, make_backend, flavour

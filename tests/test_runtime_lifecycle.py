@@ -266,10 +266,11 @@ class TestObservation:
 
     def test_run_report_carries_manifest_backed_usage(self, tmp_path):
         from repro.experiments.base import get_preset
-        from repro.runtime import run_experiments
+        from repro.runtime import SessionSpec, run_experiments
 
         preset = get_preset("smoke")
-        report = run_experiments(["table3"], preset=preset, cache_dir=tmp_path)
+        storage = SessionSpec(cache_dir=tmp_path)
+        report = run_experiments(["table3"], preset=preset, storage=storage)
         assert report.cache_entries == len(ResultCache(directory=tmp_path))
         assert f"cache dir: {tmp_path}" in report.summary()
         assert "entries," in report.summary()

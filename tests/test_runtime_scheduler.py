@@ -12,6 +12,7 @@ from repro.core.variants import pallet_variant, single_stage_variant
 from repro.experiments.base import ExperimentResult, Preset
 from repro.runtime import (
     RuntimeSession,
+    SessionSpec,
     SimulationRequest,
     StatisticsRequest,
     TraceSpec,
@@ -80,7 +81,7 @@ class TestPlanning:
             assert job.deps  # both experiments depend on the shared groups
 
     def test_cached_units_are_pruned_from_the_plan(self, tmp_path):
-        run_experiments(["fig9"], preset=SMOKE, cache_dir=tmp_path)
+        run_experiments(["fig9"], preset=SMOKE, storage=SessionSpec(cache_dir=tmp_path))
         session = RuntimeSession(cache=ResultCache(directory=tmp_path))
         plan = build_plan(["fig9", "fig11"], SMOKE, 0, session)
         units = sum(len(job.request.configs) for job in plan.simulations)
@@ -142,8 +143,9 @@ class TestStatisticsPlanning:
             )
 
     def test_statistics_run_through_the_scheduler(self, tmp_path):
-        cold = run_experiments(["fig2", "table1"], preset=SMOKE, cache_dir=tmp_path)
-        warm = run_experiments(["fig2", "table1"], preset=SMOKE, cache_dir=tmp_path)
+        storage = SessionSpec(cache_dir=tmp_path)
+        cold = run_experiments(["fig2", "table1"], preset=SMOKE, storage=storage)
+        warm = run_experiments(["fig2", "table1"], preset=SMOKE, storage=storage)
         assert cold.statistics_jobs == 6
         assert warm.statistics_jobs == 0
         assert warm.stats.cache.misses == 0
@@ -160,8 +162,9 @@ class TestRunExperiments:
         assert report.mode == "serial"
 
     def test_warm_cache_recomputes_nothing(self, tmp_path):
-        cold = run_experiments(SIM_EXPERIMENTS, preset=SMOKE, cache_dir=tmp_path)
-        warm = run_experiments(SIM_EXPERIMENTS, preset=SMOKE, cache_dir=tmp_path)
+        storage = SessionSpec(cache_dir=tmp_path)
+        cold = run_experiments(SIM_EXPERIMENTS, preset=SMOKE, storage=storage)
+        warm = run_experiments(SIM_EXPERIMENTS, preset=SMOKE, storage=storage)
         assert cold.stats.sweep.configs_simulated > 0
         assert warm.stats.sweep.configs_simulated == 0
         assert warm.stats.cache.misses == 0
@@ -169,13 +172,14 @@ class TestRunExperiments:
         assert warm.results == cold.results
 
     def test_preset_change_invalidates_the_cache(self, tmp_path):
-        run_experiments(["fig9"], preset=SMOKE, cache_dir=tmp_path)
+        run_experiments(["fig9"], preset=SMOKE, storage=SessionSpec(cache_dir=tmp_path))
         bigger = Preset(name="tiny2", networks=("alexnet",), samples_per_layer=2000, max_pallets=3)
-        report = run_experiments(["fig9"], preset=bigger, cache_dir=tmp_path)
+        report = run_experiments(["fig9"], preset=bigger, storage=SessionSpec(cache_dir=tmp_path))
         assert report.stats.sweep.configs_simulated > 0
 
     def test_no_cache_disables_storage(self, tmp_path):
-        report = run_experiments(["fig9"], preset=SMOKE, no_cache=True, cache_dir=tmp_path)
+        storage = SessionSpec(cache_dir=tmp_path, no_cache=True)
+        report = run_experiments(["fig9"], preset=SMOKE, storage=storage)
         assert report.stats.cache.stores == 0
         assert report.cache_dir is None
         assert list(tmp_path.glob("*.json")) == []
@@ -192,10 +196,16 @@ class TestParallelExecution:
 
     def test_parallel_equals_serial_with_shared_cache(self, tmp_path):
         serial = run_experiments(
-            SIM_EXPERIMENTS, preset=SMOKE, jobs=1, cache_dir=tmp_path / "serial"
+            SIM_EXPERIMENTS,
+            preset=SMOKE,
+            jobs=1,
+            storage=SessionSpec(cache_dir=tmp_path / "serial"),
         )
         parallel = run_experiments(
-            SIM_EXPERIMENTS, preset=SMOKE, jobs=2, cache_dir=tmp_path / "parallel"
+            SIM_EXPERIMENTS,
+            preset=SMOKE,
+            jobs=2,
+            storage=SessionSpec(cache_dir=tmp_path / "parallel"),
         )
         assert parallel.mode in ("parallel", "serial-fallback")
         assert parallel.results == serial.results
@@ -206,8 +216,9 @@ class TestParallelExecution:
         assert parallel.stats.cache.stores == serial.stats.cache.stores
 
     def test_parallel_without_cache_matches_serial(self):
-        serial = run_experiments(["table5"], preset=SMOKE, jobs=1, no_cache=True)
-        parallel = run_experiments(["table5"], preset=SMOKE, jobs=2, no_cache=True)
+        storage = SessionSpec(no_cache=True)
+        serial = run_experiments(["table5"], preset=SMOKE, jobs=1, storage=storage)
+        parallel = run_experiments(["table5"], preset=SMOKE, jobs=2, storage=storage)
         assert parallel.results == serial.results
         assert parallel.simulation_jobs == 0  # degraded to experiment-level jobs
 
@@ -223,4 +234,4 @@ class TestParallelExecution:
             max_pallets=1,
         )
         with pytest.raises(Exception, match="no_such_network"):
-            run_experiments(["fig9"], preset=bad, jobs=2, cache_dir=tmp_path)
+            run_experiments(["fig9"], preset=bad, jobs=2, storage=SessionSpec(cache_dir=tmp_path))

@@ -7,7 +7,18 @@ merge-after-``as_dict`` round trip are load-bearing contracts here.
 
 import threading
 
-from repro.runtime import RunStats, RuntimeSession, current_session, use_session
+import pytest
+
+from repro.runtime import (
+    DEFAULT_CACHE_DIR,
+    RunStats,
+    RuntimeSession,
+    SessionSpec,
+    build_session,
+    current_session,
+    default_cache_dir,
+    use_session,
+)
 
 
 def stats_with(hits=0, misses=0, stores=0, errors=0, sims=0, drains=0, built=0, reused=0):
@@ -157,3 +168,121 @@ class TestThreadScopedSessions:
         for thread in threads:
             thread.join()
         assert all(observed[i] is sessions[i] for i in range(len(sessions)))
+
+
+# ------------------------------------------------------------- session specs
+#: Storage-flag combinations every CLI must spell back out losslessly.
+STORAGE_ARGVS = [
+    [],
+    ["--cache-dir", "/srv/cache"],
+    ["--no-cache"],
+    ["--no-cache", "--trace-dir", "/srv/traces"],
+    ["--cache-dir", "/srv/cache", "--trace-dir", "/srv/traces", "--no-trace-cache"],
+    ["--cache-backend", "remote://127.0.0.1:9"],
+    ["--cache-backend", "remote://127.0.0.1:9", "--cache-dir", "/srv/fabric"],
+]
+
+
+def _cli_parsers():
+    from repro.cluster.cli import _parser as cluster_parser
+    from repro.experiments.runner import _parser as runner_parser
+    from repro.serve.cli import _parser as serve_parser
+
+    return {"runner": runner_parser, "serve": serve_parser, "cluster": cluster_parser}
+
+
+def _parse_spec(cli: str, argv: list[str]) -> SessionSpec:
+    """``argv`` read back the way ``cli`` reads it (the cluster has no default dir)."""
+    args = _cli_parsers()[cli]().parse_args(argv)
+    return SessionSpec.from_args(args, None if cli == "cluster" else default_cache_dir())
+
+
+class _Captured(Exception):
+    """Stops a CLI once it has handed over its spec."""
+
+
+class TestSessionSpec:
+    @pytest.mark.parametrize(
+        "cli, argv",
+        [
+            (cli, argv)
+            for cli in ("runner", "serve", "cluster")
+            for argv in STORAGE_ARGVS
+            if not (cli == "cluster" and "--no-cache" in argv)
+        ],
+    )
+    def test_argv_round_trips_through_every_parser(self, cli, argv):
+        spec = _parse_spec(cli, argv)
+        assert _parse_spec(cli, spec.argv()) == spec
+
+    def test_argv_spells_out_every_setting(self):
+        spec = SessionSpec("/c", True, "/t", True, "remote://h:1", shared=True)
+        assert spec.argv() == [
+            "--cache-dir", "/c", "--no-cache", "--trace-dir", "/t",
+            "--no-trace-cache", "--cache-backend", "remote://h:1",
+        ]
+        assert SessionSpec().argv() == []
+
+    def test_build_session_records_its_spec(self, tmp_path):
+        spec = SessionSpec(cache_dir=tmp_path)
+        session = build_session(spec)
+        assert session.spec is spec
+        assert session.cache.directory == tmp_path
+        assert session.traces.artifacts.directory == tmp_path / "traces"
+
+    @pytest.mark.parametrize("cli", ["runner", "serve"])
+    def test_runner_and_serve_default_to_the_cli_cache_dir(self, cli, monkeypatch, tmp_path):
+        import repro.runtime
+        import repro.serve.cli
+
+        seen = []
+
+        def capture(*args, **kwargs):
+            seen.append(kwargs.get("storage") or args[0])
+            raise _Captured
+
+        if cli == "runner":
+            from repro.experiments.runner import main
+
+            monkeypatch.setattr(repro.runtime, "run_experiments", capture)
+            base = ["--experiment", "table3"]
+        else:
+            from repro.serve.cli import main
+
+            monkeypatch.setattr(repro.serve.cli, "build_session", capture)
+            base = ["--stdio"]
+        for env, argv in (
+            (None, []),
+            (str(tmp_path), []),
+            (str(tmp_path), ["--cache-backend", "memory://"]),
+        ):
+            if env is None:
+                monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_CACHE_DIR", env)
+            with pytest.raises(_Captured):
+                main(base + argv)
+        assert [spec.cache_dir for spec in seen] == [DEFAULT_CACHE_DIR, tmp_path, None]
+        assert seen[2].cache_backend == "memory://"
+
+    def test_cluster_defaults_to_a_private_dir_removed_on_stop(self):
+        import asyncio
+
+        from repro.cluster.cli import _cluster_service, _parser
+
+        args = _parser().parse_args(["--workers", "0", "--connect", "127.0.0.1:1"])
+        service = _cluster_service(args)
+        directory = service.session.spec.cache_dir
+        assert directory.is_dir()
+        assert directory.name.startswith("repro-cluster-cache-")
+        assert service.session.spec.shared
+        asyncio.run(service.stop())
+        assert not directory.exists()
+
+    def test_cluster_refuses_no_cache(self, capsys):
+        from repro.cluster.cli import main
+
+        with pytest.raises(SystemExit) as error:
+            main(["--run", "table3", "--no-cache"])
+        assert error.value.code == 2
+        assert "--no-cache" in capsys.readouterr().err

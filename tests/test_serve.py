@@ -22,6 +22,7 @@ from repro.serve import (
     SimulateRequest,
     parse_request,
 )
+from repro.runtime.session import SessionSpec, build_session
 from repro.serve.cli import main as serve_main
 from repro.serve.protocol import MAX_LINE_BYTES, decode, encode
 from repro.serve.queue import RequestQueue
@@ -431,7 +432,7 @@ class TestRequestQueuePriorities:
 
     def test_priority_field_validated_on_the_wire(self, tmp_path):
         async def scenario():
-            service = ExperimentService(cache_dir=None, workers=1)
+            service = ExperimentService(workers=1)
             sent = []
             await service.handle_message(
                 {"op": "run_experiment", "experiment": "table3", "priority": "high"},
@@ -447,7 +448,7 @@ class TestRequestQueuePriorities:
 class TestServeAuth:
     def test_tcp_requires_token_before_anything(self):
         async def scenario():
-            service = ExperimentService(cache_dir=None, workers=1, auth_token="s3cret")
+            service = ExperimentService(workers=1, auth_token="s3cret")
             async with service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
@@ -482,7 +483,7 @@ class TestServeAuth:
 
     def test_tokenless_service_never_challenges(self):
         async def scenario():
-            service = ExperimentService(cache_dir=None, workers=1)
+            service = ExperimentService(workers=1)
             async with service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
@@ -502,7 +503,7 @@ class TestServeAuth:
 
     def test_in_process_and_stdio_are_trusted(self):
         async def scenario():
-            service = ExperimentService(cache_dir=None, workers=1, auth_token="s3cret")
+            service = ExperimentService(workers=1, auth_token="s3cret")
             sent = []
             # In-process handle_message without a context is the trusted path.
             await service.handle_message({"op": "ping"}, sent.append)
@@ -545,7 +546,7 @@ class TestStatsViews:
 class TestServiceInProcess:
     def test_submit_wait_round_trip(self):
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 ticket = await service.submit(ExperimentRequest("table3", preset="smoke"))
                 response = await service.wait(ticket)
                 assert response["event"] == "done"
@@ -558,7 +559,7 @@ class TestServiceInProcess:
 
     def test_failed_jobs_report_the_error(self):
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 # Parses fine, but the network does not exist: fails at run time.
                 ticket = await service.submit(
                     SimulateRequest(network="resnet9000", preset="smoke")
@@ -572,7 +573,7 @@ class TestServiceInProcess:
 
     def test_stats_and_listing_ops(self):
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 listing = service.list_experiments()
                 names = [entry["name"] for entry in listing["experiments"]]
                 assert "fig9" in names and "table1" in names
@@ -590,7 +591,8 @@ class TestServiceInProcess:
 
     def test_stats_op_reports_manifest_backed_disk_usage(self, tmp_path):
         async def scenario():
-            async with ExperimentService(cache_dir=tmp_path, workers=1) as service:
+            session = build_session(SessionSpec(cache_dir=tmp_path))
+            async with ExperimentService(session=session, workers=1) as service:
                 service.session.cache.put("deadbeef", {"x": 1})
                 stats = service.stats()
                 assert stats["cache_dir"] == str(tmp_path)
@@ -604,7 +606,8 @@ class TestServiceInProcess:
 
     def test_gc_op_collects_the_shared_disk_cache(self, tmp_path):
         async def scenario():
-            async with ExperimentService(cache_dir=tmp_path, workers=1) as service:
+            session = build_session(SessionSpec(cache_dir=tmp_path))
+            async with ExperimentService(session=session, workers=1) as service:
                 service.session.cache.put("deadbeef", {"x": 1})
                 sent = []
                 keep = await service.handle_message({"op": "gc"}, sent.append)
@@ -622,7 +625,7 @@ class TestServiceInProcess:
 
     def test_gc_op_without_a_disk_cache_is_an_error(self):
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 sent = []
                 await service.handle_message({"op": "gc", "max_bytes": 0}, sent.append)
                 assert sent[-1]["event"] == "error"
@@ -634,7 +637,7 @@ class TestServiceInProcess:
         # Regression: ServeService.submit ignored queue.stopping, restarted
         # the pool, and the late ticket hung with no worker to fail it.
         async def scenario():
-            service = ExperimentService(cache_dir=None, workers=1)
+            service = ExperimentService(workers=1)
             await service.start()
             await service.stop()
             ticket = await service.submit(ExperimentRequest("table3", preset="smoke"))
@@ -650,7 +653,7 @@ class TestServiceInProcess:
 class TestConcurrentServing:
     def test_identical_concurrent_requests_coalesce_to_one_execution(self):
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=2) as service:
+            async with ExperimentService(workers=2) as service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 async with server:
@@ -682,7 +685,7 @@ class TestConcurrentServing:
         async def scenario():
             # workers=1 keeps execution serial so the cache (not luck) carries
             # the overlap between *different* request types.
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 async with server:
@@ -724,7 +727,8 @@ class TestConcurrentServing:
         simulation pass, proven by the RunStats counters in the responses."""
 
         async def scenario():
-            async with ExperimentService(cache_dir=tmp_path, workers=2) as service:
+            session = build_session(SessionSpec(cache_dir=tmp_path))
+            async with ExperimentService(session=session, workers=2) as service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 async with server:
@@ -768,7 +772,7 @@ class TestRunningCancellation:
         single worker."""
 
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 events = []
                 first_progress = asyncio.Event()
 
@@ -818,7 +822,7 @@ class TestRunningCancellation:
 
     def test_cancel_with_surviving_coalesced_ticket_keeps_job_running(self):
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 running = asyncio.Event()
                 message = {
                     "op": "run_experiment",
@@ -851,7 +855,7 @@ class TestRunningCancellation:
         unwinds."""
 
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 async with server:
@@ -892,7 +896,7 @@ class TestStreaming:
         event per network before the terminal done."""
 
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 async with server:
@@ -927,7 +931,7 @@ class TestStreaming:
 
     def test_unstreamed_requests_receive_no_progress_events(self):
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 async with server:
@@ -943,7 +947,7 @@ class TestStreaming:
 
     def test_stream_events_interleave_cleanly_under_two_clients(self):
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=2) as service:
+            async with ExperimentService(workers=2) as service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 async with server:
@@ -992,7 +996,7 @@ class TestLineLimit:
             return big_result, {}
 
         async def scenario():
-            service = ExperimentService(cache_dir=None, workers=1, executor=executor)
+            service = ExperimentService(workers=1, executor=executor)
             async with service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
@@ -1022,7 +1026,7 @@ class TestLineLimit:
 class TestDisconnectCleanup:
     def test_disconnect_cancels_sole_ticket_running_job_and_frees_worker(self):
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 async with server:
@@ -1066,7 +1070,7 @@ class TestDisconnectCleanup:
         # Regression: the per-connection disown list must not pin every
         # finished job's result payload for the connection's lifetime.
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 sent: list = []
                 tickets: list = []
                 for seed in (0, 1, 2):
@@ -1089,7 +1093,7 @@ class TestDisconnectCleanup:
 
     def test_disconnect_detaches_but_keeps_jobs_shared_with_others(self):
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 running = asyncio.Event()
                 message = {
                     "op": "run_experiment",
@@ -1124,7 +1128,10 @@ class TestBackgroundGC:
     def test_gc_task_collects_the_disk_cache_periodically(self, tmp_path):
         async def scenario():
             service = ExperimentService(
-                cache_dir=tmp_path, workers=1, gc_interval=0.05, gc_max_bytes=0
+                session=build_session(SessionSpec(cache_dir=tmp_path)),
+                workers=1,
+                gc_interval=0.05,
+                gc_max_bytes=0,
             )
             async with service:
                 service.session.cache.put("deadbeef", {"x": 1})
@@ -1144,16 +1151,15 @@ class TestBackgroundGC:
         run(scenario())
 
     def test_gc_configuration_is_validated(self, tmp_path):
+        session = build_session(SessionSpec(cache_dir=tmp_path))
         with pytest.raises(ValueError):
-            ExperimentService(cache_dir=tmp_path, gc_interval=60)  # no bounds
+            ExperimentService(session=session, gc_interval=60)  # no bounds
         with pytest.raises(ValueError):
-            ExperimentService(cache_dir=tmp_path, gc_interval=0, gc_max_bytes=1)
+            ExperimentService(session=session, gc_interval=0, gc_max_bytes=1)
 
     def test_gc_task_not_started_without_a_disk_cache(self):
         async def scenario():
-            service = ExperimentService(
-                cache_dir=None, workers=1, gc_interval=0.05, gc_max_bytes=0
-            )
+            service = ExperimentService(workers=1, gc_interval=0.05, gc_max_bytes=0)
             async with service:
                 assert service._gc_task is None  # memory cache: nothing to collect
                 stats = service.stats()
@@ -1174,7 +1180,7 @@ class TestFrontEnds:
         stdout = io.StringIO()
 
         async def scenario():
-            service = ExperimentService(cache_dir=None, workers=1)
+            service = ExperimentService(workers=1)
             await service.run_stdio(stdin=stdin, stdout=stdout)
 
         run(scenario())
@@ -1202,7 +1208,7 @@ class TestFrontEnds:
 
     def test_shutdown_op_stops_a_tcp_server(self):
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 async with server:
@@ -1216,7 +1222,7 @@ class TestFrontEnds:
 
     def test_client_waiters_fail_fast_when_the_connection_dies(self):
         async def scenario():
-            async with ExperimentService(cache_dir=None, workers=1) as service:
+            async with ExperimentService(workers=1) as service:
                 server = await service.serve_tcp("127.0.0.1", 0)
                 port = server.sockets[0].getsockname()[1]
                 async with server:

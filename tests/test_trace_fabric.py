@@ -18,7 +18,7 @@ import pytest
 from repro.nn.traces import FULL_CACHE_ENTRIES, TraceBacking
 from repro.runtime import lifecycle
 from repro.runtime.fingerprint import trace_tensor_key
-from repro.runtime.session import RuntimeSession, resolve_trace_dir
+from repro.runtime.session import RuntimeSession, SessionSpec
 from repro.runtime.trace_cache import (
     MmapTraceBacking,
     TraceArtifactStore,
@@ -265,14 +265,17 @@ class TestFullCacheLRU:
 
 class TestSessionWiring:
     def test_resolve_trace_dir_policy(self, tmp_path):
-        assert resolve_trace_dir(None, None, False) is None
-        assert resolve_trace_dir(None, None, True) is None
-        assert resolve_trace_dir(tmp_path, None, False) == default_trace_dir(tmp_path)
-        assert resolve_trace_dir(tmp_path, tmp_path / "t", False) == tmp_path / "t"
+        assert SessionSpec().trace_directory() is None
+        assert SessionSpec(no_trace_cache=True).trace_directory() is None
+        assert SessionSpec(cache_dir=tmp_path).trace_directory() == default_trace_dir(tmp_path)
+        spec = SessionSpec(cache_dir=tmp_path, trace_dir=tmp_path / "t")
+        assert spec.trace_directory() == tmp_path / "t"
         # --no-cache --trace-dir keeps the fabric on (independent tiers)...
-        assert resolve_trace_dir(None, tmp_path / "t", False) == tmp_path / "t"
+        spec = SessionSpec(no_cache=True, trace_dir=tmp_path / "t")
+        assert spec.trace_directory() == tmp_path / "t"
         # ...while --no-trace-cache always wins.
-        assert resolve_trace_dir(tmp_path, tmp_path / "t", True) is None
+        spec = SessionSpec(cache_dir=tmp_path, trace_dir=tmp_path / "t", no_trace_cache=True)
+        assert spec.trace_directory() is None
 
     def test_session_stats_surface_fabric_counters(self, tmp_path):
         spec = TraceSpec(network="alexnet", seed=5)
